@@ -12,10 +12,13 @@ from __future__ import annotations
 
 import itertools
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .syntax import (
+    App,
     Formula,
     Signature,
     SignatureError,
@@ -26,6 +29,7 @@ from .syntax import (
     check_well_formed,
     depth,
     fresh_var,
+    interned_instance,
     parse,
     subformula_closure,
     text,
@@ -289,7 +293,7 @@ def _match(pattern: Formula, target: Formula, sigma: dict[str, Formula]) -> Opti
             out = dict(sigma)
             out[pattern.name] = target
             return out
-        return sigma if bound == target else None
+        return sigma if bound is target else None
     if isinstance(target, Var) or pattern.head != target.head or len(pattern.args) != len(target.args):
         return None
     for pa, ta in zip(pattern.args, target.args):
@@ -324,6 +328,26 @@ def _universe(calc: HilbertCalculus, base: Sequence[Formula], depth_bound: int, 
     return sorted(seen, key=lambda f: (depth(f), text(f)))
 
 
+_step_number = itemgetter(1)
+
+
+def _rule_plan(rule: Rule) -> tuple[bool, Optional[int]]:
+    """How a rule's conclusion gets its instances once the premises match.
+
+    The first value says whether the conclusion has schematic variables no
+    premise binds; the second is then the first conclusion argument whose
+    variables the premises all bind (None if there is none), which keys the
+    universe lookup for the candidates."""
+    bound = {v.name for phi in rule.premises for v in variables(phi)}
+    concl = rule.conclusion
+    if {v.name for v in variables(concl)} <= bound:
+        return False, None
+    if isinstance(concl, Var):
+        return True, None
+    key = next((i for i, a in enumerate(concl.args) if {v.name for v in variables(a)} <= bound), None)
+    return True, key
+
+
 def derive(
     calc: HilbertCalculus,
     premises: Iterable[Formula],
@@ -338,9 +362,34 @@ def derive(
     conclusion is kept only when it lies in the universe (which always
     contains the goal and every subformula of the sequent).  Schematic
     variables left free by the premise match are bound by matching the
-    partially instantiated conclusion against universe members, so axioms
-    and fresh-conclusion rules cost one pass over the universe.
+    partially instantiated conclusion against universe members.
     NotFoundAtBound is never a proof of non-derivability.
+
+    The search runs in rounds; each round fires every rule in calculus
+    order, and each firing tries premise matches in step order (premise
+    position 0 outermost), recording conclusions as they are found.  Three
+    devices cut the work without changing which steps are recorded, or in
+    which order:
+
+    * Semi-naive marks.  Each rule remembers how many steps existed when
+      its previous firing began.  Every combination of steps below that
+      mark was tried then, and trying it again can only re-find a recorded
+      formula or one outside the universe.  So when all earlier premises of
+      a match come from below the mark, the last premise position only
+      scans the steps recorded since; a rule without premises fires once.
+    * Indexes.  Derived formulas are kept in per-head lists, so a premise
+      schema is matched only against formulas with its head.  Candidates
+      for free conclusion variables come from a universe index keyed by
+      (head, argument position, argument), on the first conclusion argument
+      the premises fully bind, instead of a scan of the whole universe.
+      Each index lists its members in step (or universe) order, and a scan
+      stops at the length its list had when the scan began, as the full
+      scan stopped at the step count it began with; so the matches found,
+      and their order, are those of a full scan.
+    * Lookup-only instantiation.  A conclusion instance is looked up with
+      interned_instance, not built: the universe is interned, so an
+      instance never built before lies outside it, and rejected candidates
+      are never added to the intern pool.
 
     Premises and goal may mention connectives the calculus does not govern;
     such subformulas are opaque monoliths the rules can carry around but
@@ -349,58 +398,91 @@ def derive(
     premises = canon_sort(premises)
     universe = _universe(calc, premises + [goal], universe_depth, cap=max(step_cap, 2000))
     in_universe = set(universe)
+    universe_by_head: dict[str, list[Formula]] = {}
+    universe_by_arg: dict[tuple[str, int, Formula], list[Formula]] = {}
+    for u in universe:
+        if isinstance(u, App):
+            universe_by_head.setdefault(u.head, []).append(u)
+            for pos, a in enumerate(u.args):
+                universe_by_arg.setdefault((u.head, pos, a), []).append(u)
 
     steps: list[Step] = []
     index: dict[Formula, int] = {}
+    # (formula, step number) in step order: all of them, and by head symbol
+    every: list[tuple[Formula, int]] = []
+    by_head: dict[str, list[tuple[Formula, int]]] = {}
 
-    def record(phi: Formula, just: Justification) -> bool:
-        if phi in index:
-            return False
-        index[phi] = len(steps)
+    def record(phi: Formula, just: Justification) -> None:
+        k = len(steps)
+        index[phi] = k
         steps.append(Step(phi, just))
-        return True
+        every.append((phi, k))
+        if isinstance(phi, App):
+            by_head.setdefault(phi.head, []).append((phi, k))
 
     for phi in premises:
         record(phi, Premise())
     if goal in index:
         return Derived(_trim(steps, index, goal))
 
-    def fire(rule: Rule) -> Iterator[tuple[dict[str, Formula], tuple[int, ...]]]:
-        def match_from(i: int, sigma: dict[str, Formula], used: tuple[int, ...]) -> Iterator:
-            if i == len(rule.premises):
-                if set(rule.schematic_variables()) <= set(sigma):
-                    if apply_substitution(sigma, rule.conclusion) in in_universe:
-                        yield sigma, used
-                    return
-                # bind leftover schematic variables by matching the conclusion
-                # schema (with sigma pre-seeded, so bound parts are fixed)
-                # against universe members
-                for u in universe:
-                    filled = _match(rule.conclusion, u, dict(sigma))
-                    if filled is not None:
-                        yield filled, used
+    def fire(rule: Rule, leftover: bool, key: Optional[int], mark: int) -> Iterator:
+        """(conclusion, substitution, premise steps) for each new match."""
+        prems = rule.premises
+        last = len(prems) - 1
+
+        def conclude(sigma: dict[str, Formula], used: tuple[int, ...]) -> Iterator:
+            pattern = rule.conclusion
+            if not leftover:
+                concl = interned_instance(sigma, pattern)
+                if concl in in_universe:
+                    yield concl, sigma, used
                 return
-            pattern = rule.premises[i]
-            for phi, k in list(index.items()):
+            if isinstance(pattern, Var):
+                candidates: Sequence[Formula] = universe
+            elif key is None:
+                candidates = universe_by_head.get(pattern.head, ())
+            else:
+                arg = interned_instance(sigma, pattern.args[key])
+                candidates = universe_by_arg.get((pattern.head, key, arg), ())  # type: ignore[arg-type]
+            for u in candidates:
+                filled = _match(pattern, u, sigma)
+                if filled is not None:
+                    yield u, filled, used
+
+        def match_from(i: int, sigma: dict[str, Formula], used: tuple[int, ...], fresh: bool) -> Iterator:
+            if i > last:
+                yield from conclude(sigma, used)
+                return
+            pattern = prems[i]
+            entries = every if isinstance(pattern, Var) else by_head.get(pattern.head, ())
+            end = len(entries)
+            start = 0 if fresh or i < last else bisect_left(entries, mark, 0, end, key=_step_number)
+            for j in range(start, end):
+                phi, k = entries[j]
                 nxt = _match(pattern, phi, sigma)
                 if nxt is not None:
-                    yield from match_from(i + 1, nxt, used + (k,))
+                    yield from match_from(i + 1, nxt, used + (k,), fresh or k >= mark)
 
-        yield from match_from(0, {}, ())
+        return match_from(0, {}, (), False)
 
+    plans = [(rule, *_rule_plan(rule)) for rule in calc.rules]
+    marks: list[Optional[int]] = [None] * len(plans)
     while True:
         grew = False
-        for rule in calc.rules:
-            for sigma, used in fire(rule):
-                concl = apply_substitution(sigma, rule.conclusion)
-                if concl not in in_universe:
+        for r, (rule, leftover, key) in enumerate(plans):
+            mark = marks[r]
+            if mark is not None and not rule.premises:
+                continue
+            marks[r] = len(steps)
+            for concl, sigma, used in fire(rule, leftover, key, mark or 0):
+                if concl in index:
                     continue
-                if record(concl, RuleApp(rule.name, tuple(sorted(sigma.items())), used)):
-                    grew = True
-                    if concl == goal:
-                        return Derived(_trim(steps, index, goal))
-                    if len(steps) >= step_cap:
-                        return NotFoundAtBound("step cap exhausted", universe_depth, step_cap)
+                record(concl, RuleApp(rule.name, tuple(sorted(sigma.items())), used))
+                grew = True
+                if concl is goal:
+                    return Derived(_trim(steps, index, goal))
+                if len(steps) >= step_cap:
+                    return NotFoundAtBound("step cap exhausted", universe_depth, step_cap)
         if not grew:
             return NotFoundAtBound("universe saturated", universe_depth, step_cap)
 

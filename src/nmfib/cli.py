@@ -51,25 +51,38 @@ def _find_file(name: str) -> Path:
     raise CliError(f"no such file: {name} (not on disk, not bundled)")
 
 
-def _load_json(name: str) -> dict:
+# the top-level keys each kind of input file must have
+_FILE_KEYS = {
+    "fragment": ("connectives",),
+    "system": ("signature", "values", "designated", "interpretation"),
+    "calculus": ("signature", "rules"),
+    "translation": ("source", "mapping"),
+}
+
+
+def _load_json(name: str, kind: str) -> dict:
     with open(_find_file(name), "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        data = json.load(fh)
+    missing = [key for key in _FILE_KEYS[kind] if not isinstance(data, dict) or key not in data]
+    if missing:
+        raise CliError(f"{name} is not a {kind} file (missing {', '.join(repr(k) for k in missing)})")
+    return data
 
 
 def _load_fragment(name: str) -> boolfun.FragmentSpec:
-    return boolfun.load_fragment(_load_json(name))
+    return boolfun.load_fragment(_load_json(name, "fragment"))
 
 
 def _load_system(name: str, allow_degenerate: bool = False) -> semantics.Nmatrix:
-    return semantics.load_system(_load_json(name), allow_degenerate=allow_degenerate)
+    return semantics.load_system(_load_json(name, "system"), allow_degenerate=allow_degenerate)
 
 
 def _load_calculus(name: str) -> calculus.HilbertCalculus:
-    return calculus.load_calculus(_load_json(name))
+    return calculus.load_calculus(_load_json(name, "calculus"))
 
 
 def _load_translation(name: str, target: syntax.Signature) -> syntax.Translation:
-    data = _load_json(name)
+    data = _load_json(name, "translation")
     source = syntax.Signature.of([(c["name"], int(c["arity"])) for c in data["source"]])
     mapping = {n: syntax.parse(body, target) for n, body in data["mapping"].items()}
     return syntax.Translation.of(source, target, mapping)
@@ -523,6 +536,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        # the formula code walks formulas recursively, so a deep enough
+        # formula exhausts the interpreter stack
+        print("error: formula too deep (nesting exceeds the recursion limit)", file=sys.stderr)
         return 1
 
 

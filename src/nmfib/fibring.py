@@ -827,7 +827,7 @@ def standard_saturation_pools(name: str, f: BooleanFunction) -> tuple[list[Formu
             rs.append(var(f"r{len(rs) + 1}"))
             args_q.append(qs[-1])
             args_r.append(rs[-1])
-    gamma_pool = [app(name, args_q)] if f.arity > 0 or True else []
+    gamma_pool = [app(name, args_q)]
     delta_pool: list[Formula] = [*qs, *rs]
     if qs:
         delta_pool.append(app(name, args_r))

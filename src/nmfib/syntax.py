@@ -7,7 +7,9 @@ grammar is deliberately minimal:
 
 A bare identifier is a 0-place connective if the ambient signature declares
 one of that name, and a sentential variable otherwise.  Everything is
-immutable; structural equality is syntactic identity.
+immutable.  Formulas are hash-consed: var() and app() are the only
+constructors and return one shared object per formula, so formulas compare
+and hash by identity.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ __all__ = [
     "Formula",
     "var",
     "app",
+    "interned_instance",
     "text",
     "is_var",
     "depth",
@@ -111,7 +114,7 @@ class Signature:
         return all(other.arity(n) == k for n, k in self.connectives)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Var:
     name: str
 
@@ -119,7 +122,7 @@ class Var:
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class App:
     head: str
     args: tuple["Formula", ...]
@@ -131,7 +134,9 @@ class App:
 Formula = Union[Var, App]
 
 # Interning pool: structurally equal formulas built through var()/app() are
-# the same object, which keeps skeleton variables stable and hashing cheap.
+# the same object, so Var and App use identity for == and hash (eq=False)
+# and never walk the tree.  A Var or App constructed directly would be
+# unequal to its interned twin.
 _pool: dict[object, Formula] = {}
 
 
@@ -319,6 +324,24 @@ def apply_substitution(sigma: Substitution, phi: Formula) -> Formula:
     if isinstance(phi, Var):
         return sigma.get(phi.name, phi)
     return app(phi.head, tuple(apply_substitution(sigma, a) for a in phi.args))
+
+
+def interned_instance(sigma: Substitution, phi: Formula) -> Optional[Formula]:
+    """apply_substitution(sigma, phi) if that formula already exists, else None.
+
+    A lookup only: it never adds to the intern pool, so a search can test
+    candidate instances against a set of interned formulas without keeping
+    every rejected candidate alive.  None means no formula with that
+    structure has been built, so it lies in no set of formulas."""
+    if isinstance(phi, Var):
+        return sigma.get(phi.name, phi)
+    args = []
+    for a in phi.args:
+        b = interned_instance(sigma, a)
+        if b is None:
+            return None
+        args.append(b)
+    return _pool.get((phi.head, tuple(args)))  # type: ignore[return-value]
 
 
 def compose_substitutions(sigma: Substitution, tau: Substitution) -> dict[str, Formula]:

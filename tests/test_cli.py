@@ -83,6 +83,22 @@ def test_error_exit_code(capsys):
     assert code == 1 and "error:" in err
 
 
+def test_deep_formula_is_a_clean_error(capsys):
+    deep = "neg(" * 3000 + "p" + ")" * 3000
+    code, out, err = run(capsys, "derive", "--calculus", "B_neg.json", "--premises", "p", "--goal", deep)
+    assert code == 1 and out == "" and err.startswith("error: formula too deep")
+    code, out, err = run(capsys, "entail", "--system", "two_neg_product.json", "--conclusion", deep)
+    assert code == 1 and out == "" and err.startswith("error: formula too deep")
+
+
+def test_wrong_kind_of_file_is_named(capsys):
+    code, _, err = run(capsys, "entail", "--system", "neg.json", "--conclusion", "p")
+    assert code == 1
+    assert err.startswith("error: neg.json is not a system file (missing 'signature'")
+    code, _, err = run(capsys, "derive", "--calculus", "two_neg_product.json", "--goal", "p")
+    assert code == 1 and err.startswith("error: two_neg_product.json is not a calculus file (missing 'rules')")
+
+
 def test_byte_determinism(capsys):
     commands = [
         ("decide-recovery", "or.json", "or2.json", "--json"),
