@@ -170,7 +170,7 @@ def _random_formula(rng: random.Random, conns, depth: int) -> Formula:
 
 def seeded_sequents(cid: str, seed: int, per_kind: int, max_depth: int = 2):
     """Up to per_kind classically valid and per_kind invalid sequents,
-    (premises, goal, valid), none with the goal among the premises."""
+    as (premises, goal), none with the goal among the premises."""
     calc = CALCULI[cid]
     conns = list(calc.signature.connectives)
     matrix = two_valued_matrix(_classical_fragment(calc))
@@ -189,7 +189,7 @@ def seeded_sequents(cid: str, seed: int, per_kind: int, max_depth: int = 2):
         valid = bool(entails(matrix, prems, goal))
         if want[valid]:
             want[valid] -= 1
-            out.append((prems, goal, valid))
+            out.append((prems, goal))
     return out
 
 
@@ -221,7 +221,7 @@ SLOW_AT_DEPTH_2 = {"B_or", "or+and+and_or", "or+neg+or_neg"}
 def test_derive_agrees_with_reference_at_depth_1(cid):
     cases = seeded_sequents(cid, seed=1, per_kind=8)
     assert cases
-    for prems, goal, _ in cases:
+    for prems, goal in cases:
         _assert_same(CALCULI[cid], prems, goal, depth=1)
 
 
@@ -229,14 +229,14 @@ def test_derive_agrees_with_reference_at_depth_1(cid):
 def test_derive_agrees_with_reference_seeded_at_depth_2(cid):
     cases = seeded_sequents(cid, seed=2, per_kind=3)
     assert cases
-    for prems, goal, _ in cases:
+    for prems, goal in cases:
         _assert_same(CALCULI[cid], prems, goal, depth=2)
 
 
 def test_derive_agrees_with_reference_outcomes_cover_both_verdicts():
     found = {Derived: 0, NotFoundAtBound: 0}
     for cid in ("B_and", "B_neg", "or+neg+or_neg"):
-        for prems, goal, _ in seeded_sequents(cid, seed=2, per_kind=4):
+        for prems, goal in seeded_sequents(cid, seed=2, per_kind=4):
             found[type(_assert_same(CALCULI[cid], prems, goal, depth=1))] += 1
     assert found[Derived] and found[NotFoundAtBound]
 
