@@ -9,10 +9,10 @@ first, so the classical 'or' is "0111".
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
+from . import bundled
 from .syntax import (
     Formula,
     Signature,
@@ -648,8 +648,8 @@ def load_fragment(data: Mapping) -> FragmentSpec:
         raise ValueError("fragment file needs a 'connectives' list") from exc
     out = {}
     for c in conns:
-        name, arity, table = c["name"], int(c["arity"]), c["table"]
-        out[name] = BooleanFunction.from_string(table, arity)
+        name, arity, table = bundled.fields(c, "connective", "name", "arity", "table")
+        out[name] = BooleanFunction.from_string(table, int(arity))
     if not out:
         raise ValueError("fragment file declares no connectives")
     return FragmentSpec.of(out)
@@ -662,8 +662,3 @@ def dump_fragment(frag: FragmentSpec) -> dict:
             for name, f in frag.functions
         ]
     }
-
-
-def load_fragment_file(path: str) -> FragmentSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_fragment(json.load(fh))

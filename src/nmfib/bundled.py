@@ -1,0 +1,83 @@
+"""The JSON input files: their kinds, where they are found, and their entries.
+
+A file named on the command line resolves against the working directory
+first and then against the bundled ``nmfib/systems/`` directory.  The
+built-in calculi and the catalog fragments are read from the bundled
+directory only, so no file in the working directory can stand in for one.
+
+This module imports nothing else from nmfib, so every module can use it.
+"""
+
+from __future__ import annotations
+
+import json
+from importlib import resources
+from pathlib import Path
+
+__all__ = ["FILE_KEYS", "read", "stems", "fields", "signature_pairs"]
+
+# the top-level keys each kind of file must have
+FILE_KEYS = {
+    "fragment": ("connectives",),
+    "system": ("signature", "values", "designated", "interpretation"),
+    "calculus": ("signature", "rules"),
+    "translation": ("source", "mapping"),
+}
+
+_SYSTEMS = resources.files("nmfib") / "systems"
+
+
+def _missing(data: object, kind: str) -> list[str]:
+    return [key for key in FILE_KEYS[kind] if not isinstance(data, dict) or key not in data]
+
+
+def read(name: str, kind: str, builtin: bool = False) -> dict:
+    """The parsed JSON of a file of the given kind.
+
+    A file on disk comes before the bundled file of the same name, unless
+    ``builtin`` asks for the bundled file only."""
+    source = _SYSTEMS / name
+    if not builtin and Path(name).exists():
+        source = Path(name)
+    elif not source.is_file():
+        raise ValueError(f"no such file: {name} (not on disk, not bundled)")
+    data = json.loads(source.read_text(encoding="utf-8"))
+    missing = _missing(data, kind)
+    if missing:
+        raise ValueError(f"{name} is not a {kind} file (missing {', '.join(repr(k) for k in missing)})")
+    return data
+
+
+def stems(kind: str) -> tuple[str, ...]:
+    """The names, without ``.json``, of the bundled files of one kind, sorted."""
+    return tuple(
+        sorted(
+            entry.name[: -len(".json")]
+            for entry in _SYSTEMS.iterdir()
+            if entry.name.endswith(".json") and not _missing(json.loads(entry.read_text(encoding="utf-8")), kind)
+        )
+    )
+
+
+def fields(entry: object, what: str, *keys: str) -> tuple:
+    """The values of ``keys`` in one entry of a file.
+
+    A missing key is a ValueError naming the entry (``what``, followed by
+    the entry's "name" when it has one) and the key."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"{what} is not an object: {entry!r}")
+    missing = [key for key in keys if key not in entry]
+    if missing:
+        if "name" in entry:
+            what = f"{what} {entry['name']!r}"
+        raise ValueError(f"{what} has no {', '.join(repr(k) for k in missing)}")
+    return tuple(entry[key] for key in keys)
+
+
+def signature_pairs(entries: object, what: str = "signature entry") -> list[tuple[str, int]]:
+    """The (name, arity) pairs of a signature list such as a file's "signature"."""
+    pairs = []
+    for entry in entries:
+        name, arity = fields(entry, what, "name", "arity")
+        pairs.append((name, int(arity)))
+    return pairs

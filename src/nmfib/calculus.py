@@ -10,13 +10,14 @@ instantiation universe and a step cap and never claims non-derivability.
 
 from __future__ import annotations
 
+import functools
 import itertools
-import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
+from . import bundled
 from .syntax import (
     App,
     Formula,
@@ -94,98 +95,25 @@ class HilbertCalculus:
         return HilbertCalculus(signature, rules)
 
 
-def _rules(sig: Signature, specs: Sequence[tuple[str, Sequence[str], str]]) -> list[Rule]:
-    out = []
-    for name, prems, concl in specs:
-        out.append(Rule.of(name, [parse(p, sig) for p in prems], parse(concl, sig)))
-    return out
+@functools.lru_cache(maxsize=None)
+def _builtin_ids() -> tuple[str, ...]:
+    return bundled.stems("calculus")
 
 
-def _sig(**names: int) -> Signature:
-    return Signature.of(names)
+def __getattr__(name: str):
+    # BUILTIN_IDS, the ids of the bundled calculus files, is worked out on
+    # first use so that importing the module reads no file
+    if name == "BUILTIN_IDS":
+        return _builtin_ids()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _builtins() -> dict[str, HilbertCalculus]:
-    table: dict[str, HilbertCalculus] = {}
-
-    def put(cid: str, sig: Signature, specs: Sequence[tuple[str, Sequence[str], str]]) -> None:
-        table[cid] = HilbertCalculus.of(sig, _rules(sig, specs))
-
-    put("B_top", _sig(top=0), [("t1", [], "top")])
-    put("B_bot", _sig(bot=0), [("b1", ["bot"], "p")])
-    put("B_neg", _sig(neg=1), [
-        ("n1", ["p"], "neg(neg(p))"),
-        ("n2", ["neg(neg(p))"], "p"),
-        ("n3", ["p", "neg(p)"], "q"),
-    ])
-    put("B_and", _sig(**{"and": 2}), [
-        ("c1", ["and(p,q)"], "p"),
-        ("c2", ["and(p,q)"], "q"),
-        ("c3", ["p", "q"], "and(p,q)"),
-    ])
-    put("B_or", _sig(**{"or": 2}), [
-        ("d1", ["p"], "or(p,q)"),
-        ("d2", ["or(p,p)"], "p"),
-        ("d3", ["or(p,q)"], "or(q,p)"),
-        ("d4", ["or(p,or(q,r))"], "or(or(p,q),r)"),
-    ])
-    put("B_imp", _sig(imp=2), [
-        ("i1", [], "imp(p,imp(q,p))"),
-        ("i2", [], "imp(imp(p,imp(q,r)),imp(imp(p,q),imp(p,r)))"),
-        ("i3", [], "imp(imp(imp(p,q),p),p)"),
-        ("i4", ["p", "imp(p,q)"], "q"),
-    ])
-    # sound rules for bi-implication; used where interaction examples need a
-    # working iff engine (reflexivity, detachment, symmetry, reassociation)
-    put("B_iff", _sig(iff=2), [
-        ("e1", [], "iff(p,p)"),
-        ("e2", ["p", "iff(p,q)"], "q"),
-        ("e3", ["iff(p,q)"], "iff(q,p)"),
-        ("e4", ["iff(iff(p,q),r)"], "iff(p,iff(q,r))"),
-        ("e5", ["iff(p,iff(q,r))"], "iff(iff(p,q),r)"),
-    ])
-    put("B_bot1", _sig(bot1=1), [("u1", ["bot1(p)"], "q")])
-
-    # interaction rule sets over joint signatures
-    put("neg_pair", _sig(neg=1, sim=1), [
-        ("ns1", ["neg(p)"], "sim(p)"),
-        ("ns2", ["sim(p)"], "neg(p)"),
-    ])
-    put("or_pair", _sig(**{"or": 2, "or2": 2}), [
-        ("oo1", ["or(p,or(q,r))"], "or(p,or2(q,r))"),
-        ("oo2", ["or(p,or2(q,r))"], "or(p,or(q,r))"),
-    ])
-    put("and_or", _sig(**{"and": 2, "or": 2}), [
-        ("ao1", ["or(p,q)", "or(p,r)"], "or(p,and(q,r))"),
-        ("ao2", ["or(p,and(q,r))"], "or(p,q)"),
-        ("ao3", ["or(p,and(q,r))"], "or(p,r)"),
-    ])
-    put("or_neg", _sig(**{"or": 2, "neg": 1}), [
-        ("on1", [], "or(p,neg(p))"),
-        ("on2", ["or(p,q)"], "or(p,neg(neg(q)))"),
-        ("on3", ["or(p,neg(neg(q)))"], "or(p,q)"),
-        ("on4", ["or(p,q)", "or(p,neg(q))"], "p"),
-    ])
-    put("coimp_bot", _sig(coimp=2, bot=0), [("cb1", ["p"], "coimp(bot,p)")])
-    put("imp_bot", _sig(imp=2, bot=0), [("ib1", [], "imp(bot,p)")])
-    put("neg_bot", _sig(neg=1, bot=0), [("nb1", [], "neg(bot)")])
-    put("xor3_bots", _sig(xor3=3, bota=0, botb=0), [
-        ("xb1", ["xor3(bota,p,q)"], "xor3(botb,p,q)"),
-        ("xb2", ["xor3(botb,p,q)"], "xor3(bota,p,q)"),
-    ])
-    put("biimp_bot1", _sig(iff=2, bot1=1), [("eb1", [], "iff(bot1(p),bot1(q))")])
-    return table
-
-
-_BUILTIN = _builtins()
-BUILTIN_IDS = tuple(sorted(_BUILTIN))
-
-
+@functools.lru_cache(maxsize=None)
 def builtin_calculus(cid: str) -> HilbertCalculus:
-    try:
-        return _BUILTIN[cid]
-    except KeyError:
-        raise SignatureError(f"unknown calculus id {cid!r}; known: {', '.join(BUILTIN_IDS)}")
+    """The bundled calculus ``systems/<cid>.json``, read on first use."""
+    if cid not in _builtin_ids():
+        raise SignatureError(f"unknown calculus id {cid!r}; known: {', '.join(_builtin_ids())}")
+    return load_calculus(bundled.read(f"{cid}.json", "calculus", builtin=True))
 
 
 def renamed(calc: HilbertCalculus, mapping: Mapping[str, str]) -> HilbertCalculus:
@@ -311,21 +239,27 @@ def _universe(calc: HilbertCalculus, base: Sequence[Formula], depth_bound: int, 
     deepest candidates dropped first, so enlarging the bounds only appends."""
     pool = list(subformula_closure(base))
     pool.append(fresh_var(base))
-    seen = set(pool)
+    # the (depth, text) sort key of every formula in the pool, each built
+    # once from the keys of its arguments
+    keys = {f: (depth(f), text(f)) for f in pool}
     for _ in range(depth_bound):
-        if len(seen) > cap:
+        if len(keys) > cap:
             break
-        grown = sorted(seen, key=lambda f: (depth(f), text(f)))
+        grown = sorted(keys, key=keys.__getitem__)
         for conn, arity in calc.signature.connectives:
             for args in itertools.product(grown, repeat=arity):
                 candidate = app(conn, args)
-                if candidate not in seen:
-                    seen.add(candidate)
-                if len(seen) > cap:
+                if candidate not in keys:
+                    keys[candidate] = (
+                        (1 + max(keys[a][0] for a in args), f"{conn}({','.join(keys[a][1] for a in args)})")
+                        if args
+                        else (0, conn)
+                    )
+                if len(keys) > cap:
                     break
-            if len(seen) > cap:
+            if len(keys) > cap:
                 break
-    return sorted(seen, key=lambda f: (depth(f), text(f)))
+    return sorted(keys, key=keys.__getitem__)
 
 
 _step_number = itemgetter(1)
@@ -551,14 +485,15 @@ def verify(d: Derivation, calc: HilbertCalculus, premises: Iterable[Formula], go
 # ---------------------------------------------------------------------------
 
 def load_calculus(data: Mapping) -> HilbertCalculus:
-    sig = Signature.of([(c["name"], int(c["arity"])) for c in data["signature"]])
+    sig = Signature.of(bundled.signature_pairs(data["signature"]))
     rules = []
     for r in data["rules"]:
+        (conclusion,) = bundled.fields(r, "rule", "conclusion")
         rules.append(
             Rule.of(
                 r.get("name", f"r{len(rules)}"),
                 [parse(p, sig) for p in r.get("premises", [])],
-                parse(r["conclusion"], sig),
+                parse(conclusion, sig),
             )
         )
     return HilbertCalculus.of(sig, rules)
@@ -576,8 +511,3 @@ def dump_calculus(calc: HilbertCalculus) -> dict:
             for r in calc.rules
         ],
     }
-
-
-def load_calculus_file(path: str) -> HilbertCalculus:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_calculus(json.load(fh))

@@ -11,11 +11,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from importlib import resources
 from pathlib import Path
 from typing import Optional
 
-from . import boolfun, calculus, fibring, matrixops, semantics, syntax
+from . import boolfun, bundled, calculus, fibring, matrixops, semantics, syntax
 
 STANDARD_SIGNATURE = syntax.Signature.of(
     {
@@ -34,56 +33,21 @@ STANDARD_SIGNATURE = syntax.Signature.of(
 )
 
 
-class CliError(Exception):
-    pass
-
-
-def _find_file(name: str) -> Path:
-    p = Path(name)
-    if p.exists():
-        return p
-    bundled = resources.files("nmfib") / "systems" / name
-    try:
-        if bundled.is_file():
-            return Path(str(bundled))
-    except (OSError, ValueError):
-        pass
-    raise CliError(f"no such file: {name} (not on disk, not bundled)")
-
-
-# the top-level keys each kind of input file must have
-_FILE_KEYS = {
-    "fragment": ("connectives",),
-    "system": ("signature", "values", "designated", "interpretation"),
-    "calculus": ("signature", "rules"),
-    "translation": ("source", "mapping"),
-}
-
-
-def _load_json(name: str, kind: str) -> dict:
-    with open(_find_file(name), "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    missing = [key for key in _FILE_KEYS[kind] if not isinstance(data, dict) or key not in data]
-    if missing:
-        raise CliError(f"{name} is not a {kind} file (missing {', '.join(repr(k) for k in missing)})")
-    return data
-
-
 def _load_fragment(name: str) -> boolfun.FragmentSpec:
-    return boolfun.load_fragment(_load_json(name, "fragment"))
+    return boolfun.load_fragment(bundled.read(name, "fragment"))
 
 
 def _load_system(name: str, allow_degenerate: bool = False) -> semantics.Nmatrix:
-    return semantics.load_system(_load_json(name, "system"), allow_degenerate=allow_degenerate)
+    return semantics.load_system(bundled.read(name, "system"), allow_degenerate=allow_degenerate)
 
 
 def _load_calculus(name: str) -> calculus.HilbertCalculus:
-    return calculus.load_calculus(_load_json(name, "calculus"))
+    return calculus.load_calculus(bundled.read(name, "calculus"))
 
 
 def _load_translation(name: str, target: syntax.Signature) -> syntax.Translation:
-    data = _load_json(name, "translation")
-    source = syntax.Signature.of([(c["name"], int(c["arity"])) for c in data["source"]])
+    data = bundled.read(name, "translation")
+    source = syntax.Signature.of(bundled.signature_pairs(data["source"], "source entry"))
     mapping = {n: syntax.parse(body, target) for n, body in data["mapping"].items()}
     return syntax.Translation.of(source, target, mapping)
 
@@ -526,7 +490,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         return args.fn(args)
     except (
-        CliError,
         syntax.ParseError,
         syntax.SignatureError,
         semantics.MatrixError,

@@ -25,8 +25,9 @@ import functools
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
+from . import bundled
 from .boolfun import (
     BooleanFunction,
     ClosureBudgetExceeded,
@@ -36,6 +37,7 @@ from .boolfun import (
     find_expression,
     fragment_in_clone,
     functionally_complete,
+    load_fragment,
     nontop_unary_witness,
     standard_function,
 )
@@ -49,7 +51,7 @@ from .calculus import (
     renamed,
     verify,
 )
-from .matrixops import power, strict_product
+from .matrixops import power, restrict_values, strict_product
 from .semantics import (
     Fails,
     Holds,
@@ -58,8 +60,10 @@ from .semantics import (
     PartialValuation,
     bounded_saturation_check,
     entails,
+    enumerate_partial_valuations,
     filter_valuations_by_rules,
     logically_equivalent,
+    respects_rule,
     two_valued_matrix,
 )
 from .syntax import (
@@ -194,18 +198,6 @@ class Subclassical:
 RecoveryVerdict = Union[Classical, Subclassical]
 
 
-def _condition_a(frag: FragmentSpec) -> bool:
-    from .boolfun import in_clone_top
-
-    for _, f in frag.functions:
-        if f.arity == 0:
-            if f.bits == 0:
-                return False
-        elif not in_clone_top(f):
-            return False
-    return True
-
-
 def _condition_b(f1: FragmentSpec, f2: FragmentSpec) -> bool:
     return fragment_in_clone(f1, "and_top_bot") and fragment_in_clone(f2, "and_top_bot")
 
@@ -238,9 +230,9 @@ def decide_recovery(
     """
     if not f1.signature.disjoint_from(f2.signature):
         raise MatrixError("decide_recovery needs disjoint signatures")
-    if _condition_a(f1):
+    if fragment_in_clone(f1, "top"):
         return Classical("a", "first fragment is top-like/projective")
-    if _condition_a(f2):
+    if fragment_in_clone(f2, "top"):
         return Classical("a", "second fragment is top-like/projective")
     if _condition_b(f1, f2):
         return Classical("b", "both fragments inside the conjunction-with-constants clone")
@@ -601,7 +593,7 @@ class FcOutcome:
 
 
 def _is_up1(frag: FragmentSpec) -> bool:
-    if not _condition_a(frag):
+    if not fragment_in_clone(frag, "top"):
         return False
     return any(classify(f).top_like for _, f in frag.functions)
 
@@ -850,66 +842,6 @@ def three_valued_negation_matrix(name: str = "neg") -> Nmatrix:
     )
 
 
-def catalog_fragments(example_id: str) -> tuple[FragmentSpec, FragmentSpec]:
-    from .boolfun import standard_fragment
-
-    table = {
-        "two_conj": (standard_fragment("and"), standard_fragment("and2", rename={"and2": "and"})),
-        "two_disj": (standard_fragment("or"), standard_fragment("or2", rename={"or2": "or"})),
-        "two_neg": (standard_fragment("neg"), standard_fragment("sim", rename={"sim": "neg"})),
-        "conj_disj": (standard_fragment("and"), standard_fragment("or")),
-        "disj_neg": (standard_fragment("or"), standard_fragment("neg")),
-        "coimp_top": (standard_fragment("coimp"), standard_fragment("top")),
-        "coimp_bot": (standard_fragment("coimp"), standard_fragment("bot")),
-        "imp_bot": (standard_fragment("imp"), standard_fragment("bot")),
-        "biimp_bot": (standard_fragment("iff"), standard_fragment("bot")),
-        "biimp_bot1": (
-            standard_fragment("iff"),
-            FragmentSpec.of({"bot1": BooleanFunction.from_string("00", 1)}),
-        ),
-        "xor3_two_bots": (
-            standard_fragment("xor3"),
-            FragmentSpec.of({"bota": standard_function("bot"), "botb": standard_function("bot")}),
-        ),
-        "neg_bot": (standard_fragment("neg"), standard_fragment("bot")),
-    }
-    if example_id not in table:
-        raise KeyError(f"unknown example {example_id!r}; known: {', '.join(sorted(table))}")
-    return table[example_id]
-
-
-CATALOG_IDS = (
-    "two_conj",
-    "two_disj",
-    "two_neg",
-    "conj_disj",
-    "disj_neg",
-    "coimp_top",
-    "coimp_bot",
-    "imp_bot",
-    "biimp_bot",
-    "biimp_bot1",
-    "xor3_two_bots",
-    "neg_bot",
-)
-
-# expected decide_recovery outcome per catalog entry
-CATALOG_EXPECTED = {
-    "two_conj": "b",
-    "two_disj": "sub",
-    "two_neg": "sub",
-    "conj_disj": "sub",
-    "disj_neg": "sub",
-    "coimp_top": "a",
-    "coimp_bot": "sub",
-    "imp_bot": "sub",
-    "biimp_bot": "c",
-    "biimp_bot1": "sub",
-    "xor3_two_bots": "sub",
-    "neg_bot": "sub",
-}
-
-
 @dataclass(frozen=True)
 class Check:
     name: str
@@ -941,90 +873,121 @@ def _check(name: str, passed: bool, detail: str = "") -> Check:
     return Check(name, bool(passed), detail)
 
 
-def _expected_recovery_check(example_id: str, f1: FragmentSpec, f2: FragmentSpec) -> list[Check]:
+def _recovery_checks(f1: FragmentSpec, f2: FragmentSpec, want: str) -> list[Check]:
+    """decide_recovery against the expected verdict: "sub" or a condition."""
     verdict = decide_recovery(f1, f2)
-    want = CATALOG_EXPECTED[example_id]
     if want == "sub":
         ok = isinstance(verdict, Subclassical)
         detail = f"witness {verdict.witness} at power {verdict.power_used}" if ok else str(verdict)
         checks = [_check("decide_recovery is Subclassical", ok, detail)]
         if ok:
+            checks.append(_check("witness countermodel re-verifies", verdict.countermodel.check()))
             checks.append(
-                _check(
-                    "witness countermodel re-verifies",
-                    verdict.countermodel.check(),
-                )
-            )
-            checks.append(
-                _check(
-                    "witness classically valid",
-                    _classically_valid(f1.union(f2), verdict.witness),
-                )
+                _check("witness classically valid", _classically_valid(f1.union(f2), verdict.witness))
             )
         return checks
     ok = isinstance(verdict, Classical) and verdict.condition == want
     return [_check(f"decide_recovery is Classical({want})", ok, str(verdict))]
 
 
-def _reproduce_two_conj() -> list[Check]:
-    f1, f2 = catalog_fragments("two_conj")
+def _merged(*parts: Union[str, HilbertCalculus]) -> HilbertCalculus:
+    """The left-to-right merge of calculi, built-in ones given by id."""
+    return functools.reduce(merge, [builtin_calculus(c) if isinstance(c, str) else c for c in parts])
+
+
+def _derives(
+    name: str, calc: HilbertCalculus, premises: list[Formula], goal: Formula, step_cap: int
+) -> Check:
+    """A derivation at universe depth 1 is found and re-verifies."""
+    found = derive(calc, premises, goal, universe_depth=1, step_cap=step_cap)
+    return _check(name, bool(found) and verify(found.derivation, calc, premises, goal))
+
+
+# the follow-up check on a countermodel that most refutations make
+_REVERIFIES = ("countermodel re-verifies", PartialValuation.check)
+
+
+def _fails(
+    name: str,
+    matrix: Nmatrix,
+    premises: list[Formula],
+    conclusion: Formula,
+    then: Optional[tuple[str, Callable[[PartialValuation], bool]]] = None,
+) -> list[Check]:
+    """The sequent fails in the matrix; ``then`` names a test of the
+    countermodel, checked when there is one."""
+    verdict = entails(matrix, premises, conclusion)
+    checks = [_check(name, isinstance(verdict, Fails))]
+    if then is not None and isinstance(verdict, Fails):
+        checks.append(_check(then[0], then[1](verdict.countermodel)))
+    return checks
+
+
+def _agrees_with_classical(
+    name: str,
+    f1: FragmentSpec,
+    f2: FragmentSpec,
+    seed: int,
+    n_vars: int,
+    holds: Callable[[list[Formula], Formula], object],
+) -> Check:
+    """``holds`` gives the classical verdict on 60 seeded random sequents."""
+    sig = f1.signature.union(f2.signature)
+    classical = two_valued_matrix(f1.union(f2))
+    rng = random.Random(seed)
+    for _ in range(60):
+        gamma, phi = _random_sequent(rng, sig, depth=3, n_vars=n_vars)
+        if bool(holds(gamma, phi)) != bool(entails(classical, gamma, phi)):
+            return _check(name, False)
+    return _check(name, True)
+
+
+def _random_sequent(rng: random.Random, sig: Signature, depth: int, n_vars: int):
+    names = [f"p{i}" for i in range(1, n_vars + 1)]
+
+    def gen(d: int) -> Formula:
+        conns = [c for c in sig.connectives]
+        if d == 0 or (rng.random() < 0.3 and names):
+            choice = rng.choice(names + [c[0] for c in conns if c[1] == 0])
+            k = sig.arity(choice)
+            return app(choice, ()) if k == 0 else var(choice)
+        conn, k = rng.choice(conns)
+        if k == 0:
+            return app(conn, ())
+        return app(conn, tuple(gen(d - 1) for _ in range(k)))
+
+    n_prem = rng.randrange(0, 3)
+    return [gen(depth) for _ in range(n_prem)], gen(depth)
+
+
+def _two_conj(f1: FragmentSpec, f2: FragmentSpec, want: str) -> list[Check]:
     sig = f1.signature.union(f2.signature)
     product = fibred_semantics(f1, f2, 1)
     checks = [_check("product is 2-valued", len(product.values) == 2)]
     a, b = parse("and(p,q)", sig), parse("and2(p,q)", sig)
     checks.append(_check("p and q =||= p and2 q", logically_equivalent(product, [a], [b])))
-    calc = merge(builtin_calculus("B_and"), renamed(builtin_calculus("B_and"), {"and": "and2"}))
-    found = derive(calc, [a], b, universe_depth=1, step_cap=500)
-    checks.append(
-        _check(
-            "merged calculi derive the collapse",
-            bool(found) and verify(found.derivation, calc, [a], b),
-        )
-    )
-    checks.extend(_expected_recovery_check("two_conj", f1, f2))
-    return checks
+    checks.append(_derives("merged calculi derive the collapse", _merged("B_and", "B_and2"), [a], b, 500))
+    return checks + _recovery_checks(f1, f2, want)
 
 
-def _reproduce_two_disj() -> list[Check]:
-    f1, f2 = catalog_fragments("two_disj")
+def _two_disj(f1: FragmentSpec, f2: FragmentSpec, want: str) -> list[Check]:
     sig = f1.signature.union(f2.signature)
     product = fibred_semantics(f1, f2, 2)
     lhs, rhs = parse("or(p,q)", sig), parse("or2(p,q)", sig)
-    verdict = entails(product, [lhs], rhs)
-    checks = [
-        _check("or(p,q) does not give or2(p,q) at power 2", isinstance(verdict, Fails)),
-    ]
-    if isinstance(verdict, Fails):
-        checks.append(_check("countermodel re-verifies", verdict.countermodel.check()))
-    calc = merge(
-        merge(builtin_calculus("B_or"), renamed(builtin_calculus("B_or"), {"or": "or2"})),
-        builtin_calculus("or_pair"),
-    )
-    prem = parse("or(p,or(q,r))", sig)
-    goal = parse("or(p,or2(q,r))", sig)
-    found = derive(calc, [prem], goal, universe_depth=1, step_cap=1000)
-    checks.append(
-        _check(
-            "interaction rules derive the mixed disjunction",
-            bool(found) and verify(found.derivation, calc, [prem], goal),
-        )
-    )
+    checks = _fails("or(p,q) does not give or2(p,q) at power 2", product, [lhs], rhs, _REVERIFIES)
+    prem, goal = parse("or(p,or(q,r))", sig), parse("or(p,or2(q,r))", sig)
+    calc = _merged("B_or", "B_or2", "or_pair")
+    checks.append(_derives("interaction rules derive the mixed disjunction", calc, [prem], goal, 1000))
     probe = k_determinedness_probe(f1, f2, 1, n=3)
     checks.append(_check("not 1-determined (power 3)", bool(probe)))
     phis, level = phi_t_family(("or", standard_function("or")), ("or2", standard_function("or")), 2, n=3)
     checks.append(_check("phi_t family pairwise distinct", len(phis) == 3, f"power {level}"))
-    checks.extend(_expected_recovery_check("two_disj", f1, f2))
-    return checks
+    return checks + _recovery_checks(f1, f2, want)
 
 
-def _two_neg_product() -> Nmatrix:
-    return strict_product(three_valued_negation_matrix("neg"), three_valued_negation_matrix("sim"))
-
-
-def _reproduce_two_neg() -> list[Check]:
-    f1, f2 = catalog_fragments("two_neg")
+def _two_neg(f1: FragmentSpec, f2: FragmentSpec, want: str) -> list[Check]:
     sig = f1.signature.union(f2.signature)
-    product = _two_neg_product()
+    product = strict_product(three_valued_negation_matrix("neg"), three_valued_negation_matrix("sim"))
     half = "1/2"
     expected_neg = {
         "(0,0)": {"(1,1)"},
@@ -1048,18 +1011,13 @@ def _reproduce_two_neg() -> list[Check]:
         _check("5-valued tables match the worked example", ok_cells),
     ]
     np_, sp = parse("neg(p)", sig), parse("sim(p)", sig)
-    verdict = entails(product, [np_], sp)
-    checks.append(_check("neg p does not give sim p", isinstance(verdict, Fails)))
-    if isinstance(verdict, Fails):
-        checks.append(_check("countermodel re-verifies", verdict.countermodel.check()))
+    checks += _fails("neg p does not give sim p", product, [np_], sp, _REVERIFIES)
     pair = builtin_calculus("neg_pair")
     filtered = filter_valuations_by_rules(product, pair.rules, [np_], sp, saturated=True)
     checks.append(_check("filtered semantics validates neg p |- sim p", bool(filtered)))
     checks.append(_check("filtering is exact (saturated)", filtered.exactness == "exact"))
 
     # respecting the interaction rules forbids exactly the two mixed values
-    from .semantics import enumerate_partial_valuations, respects_rule
-
     domain = subformula_closure(
         [parse(t, sig) for t in ("neg(neg(p))", "neg(sim(p))", "sim(neg(p))", "sim(sim(p))")]
     )
@@ -1076,88 +1034,41 @@ def _reproduce_two_neg() -> list[Check]:
     checks.append(
         _check("all three agreeing values still occur", used == {"(0,0)", f"({half},{half})", "(1,1)"})
     )
-    from .matrixops import restrict_values
-
     purged = restrict_values(product, {"(0,0)", f"({half},{half})", "(1,1)"})
     checks.append(_check("purged matrix is deterministic", purged.deterministic()))
-    calc = merge(
-        merge(builtin_calculus("B_neg"), renamed(builtin_calculus("B_neg"), {"neg": "sim"})),
-        pair,
-    )
-    found = derive(calc, [np_], sp, universe_depth=1, step_cap=500)
-    checks.append(
-        _check(
-            "interaction rules derive sim p from neg p",
-            bool(found) and verify(found.derivation, calc, [np_], sp),
-        )
-    )
-    checks.extend(_expected_recovery_check("two_neg", f1, f2))
-    return checks
+    calc = _merged("B_neg", "B_sim", pair)
+    checks.append(_derives("interaction rules derive sim p from neg p", calc, [np_], sp, 500))
+    return checks + _recovery_checks(f1, f2, want)
 
 
-def _reproduce_conj_disj() -> list[Check]:
-    f1, f2 = catalog_fragments("conj_disj")
+def _conj_disj(f1: FragmentSpec, f2: FragmentSpec, want: str) -> list[Check]:
     sig = f1.signature.union(f2.signature)
     product = fibred_semantics(f1, f2, 2)
     lhs = parse("or(p,and(q,r))", sig)
     rhs = parse("and(or(p,q),or(p,r))", sig)
-    verdict = entails(product, [lhs], rhs)
-    checks = [_check("distributivity fails in the product", isinstance(verdict, Fails))]
-    if isinstance(verdict, Fails):
-        checks.append(_check("countermodel re-verifies", verdict.countermodel.check()))
-    calc = merge(
-        merge(builtin_calculus("B_or"), builtin_calculus("B_and")),
-        builtin_calculus("and_or"),
-    )
-    found = derive(calc, [lhs], rhs, universe_depth=1, step_cap=2000)
-    checks.append(
-        _check(
-            "interaction rules derive distributivity",
-            bool(found) and verify(found.derivation, calc, [lhs], rhs),
-        )
-    )
-    checks.extend(_expected_recovery_check("conj_disj", f1, f2))
-    return checks
+    checks = _fails("distributivity fails in the product", product, [lhs], rhs, _REVERIFIES)
+    calc = _merged("B_or", "B_and", "and_or")
+    checks.append(_derives("interaction rules derive distributivity", calc, [lhs], rhs, 2000))
+    return checks + _recovery_checks(f1, f2, want)
 
 
-def _reproduce_disj_neg() -> list[Check]:
-    f1, f2 = catalog_fragments("disj_neg")
+def _disj_neg(f1: FragmentSpec, f2: FragmentSpec, want: str) -> list[Check]:
     sig = f1.signature.union(f2.signature)
     product = fibred_semantics(f1, f2, 2)
     goal = parse("or(p,neg(p))", sig)
-    verdict = entails(product, [], goal)
-    checks = [_check("excluded middle fails in the product", isinstance(verdict, Fails))]
-    calc = merge(
-        merge(builtin_calculus("B_or"), builtin_calculus("B_neg")),
-        builtin_calculus("or_neg"),
-    )
-    found = derive(calc, [], goal, universe_depth=1, step_cap=1000)
-    checks.append(
-        _check(
-            "interaction rules prove excluded middle",
-            bool(found) and verify(found.derivation, calc, [], goal),
-        )
-    )
-    checks.append(
-        _check(
-            "the pair is functionally complete",
-            functionally_complete(f1.union(f2)).complete,
-        )
-    )
-    checks.extend(_expected_recovery_check("disj_neg", f1, f2))
-    return checks
+    checks = _fails("excluded middle fails in the product", product, [], goal)
+    calc = _merged("B_or", "B_neg", "or_neg")
+    checks.append(_derives("interaction rules prove excluded middle", calc, [], goal, 1000))
+    checks.append(_check("the pair is functionally complete", functionally_complete(f1.union(f2)).complete))
+    return checks + _recovery_checks(f1, f2, want)
 
 
-def _reproduce_coimp_top() -> list[Check]:
-    f1, f2 = catalog_fragments("coimp_top")
-    checks = _expected_recovery_check("coimp_top", f1, f2)
-    checks.append(
-        _check("the pair is functionally complete", functionally_complete(f1.union(f2)).complete)
-    )
+def _coimp_top(f1: FragmentSpec, f2: FragmentSpec, want: str) -> list[Check]:
+    checks = _recovery_checks(f1, f2, want)
+    checks.append(_check("the pair is functionally complete", functionally_complete(f1.union(f2)).complete))
     # coimplication's matrix is not saturated: bounded counterexample
-    m = two_valued_matrix(f1)
     gamma, delta = standard_saturation_pools("coimp", standard_function("coimp"))
-    found = bounded_saturation_check(m, 5, gamma, delta)
+    found = bounded_saturation_check(two_valued_matrix(f1), 5, gamma, delta)
     checks.append(_check("coimplication matrix refuted as saturated", bool(found)))
     fc = decide_fc_recovery(f1, f2)
     checks.append(
@@ -1166,8 +1077,7 @@ def _reproduce_coimp_top() -> list[Check]:
     return checks
 
 
-def _reproduce_coimp_bot() -> list[Check]:
-    f1, f2 = catalog_fragments("coimp_bot")
+def _coimp_bot(f1: FragmentSpec, f2: FragmentSpec, want: str) -> list[Check]:
     sig = f1.signature.union(f2.signature)
     product = fibred_semantics(f1, f2, 2)
     checks = [_check("product is 4-valued", len(product.values) == 4)]
@@ -1202,27 +1112,17 @@ def _reproduce_coimp_bot() -> list[Check]:
     goalf = parse("coimp(bot,p)", sig)
     p = parse("p", sig)
     with_block = entails(product, [block, p], goalf)
-    without = entails(product, [p], goalf)
     checks.append(_check("with the block the consequence holds", isinstance(with_block, Holds)))
-    checks.append(_check("without the block it fails", isinstance(without, Fails)))
+    checks += _fails("without the block it fails", product, [p], goalf)
     checks.append(
         _check("dropped-block conclusion is classically valid", _classically_valid(f1.union(f2), Sequent.of([p], goalf)))
     )
-    calc = merge(auto_calculus(f1), auto_calculus(f2))
-    calc = merge(calc, builtin_calculus("coimp_bot"))
-    found = derive(calc, [p], goalf, universe_depth=1, step_cap=500)
-    checks.append(
-        _check(
-            "interaction rule repairs the consequence",
-            bool(found) and verify(found.derivation, calc, [p], goalf),
-        )
-    )
-    checks.extend(_expected_recovery_check("coimp_bot", f1, f2))
-    return checks
+    calc = _merged(auto_calculus(f1), auto_calculus(f2), "coimp_bot")
+    checks.append(_derives("interaction rule repairs the consequence", calc, [p], goalf, 500))
+    return checks + _recovery_checks(f1, f2, want)
 
 
-def _reproduce_imp_bot() -> list[Check]:
-    f1, f2 = catalog_fragments("imp_bot")
+def _imp_bot(f1: FragmentSpec, f2: FragmentSpec, want: str) -> list[Check]:
     sig = f1.signature.union(f2.signature)
     m4 = truth_preserving_bot_matrix(f1, "bot")
     checks = [
@@ -1234,71 +1134,48 @@ def _reproduce_imp_bot() -> list[Check]:
         ),
     ]
     goal = parse("imp(bot,p)", sig)
-    verdict = entails(m4, [], goal)
-    checks.append(_check("bot -> p fails without interaction", isinstance(verdict, Fails)))
+    checks += _fails("bot -> p fails without interaction", m4, [], goal)
     axiom = builtin_calculus("imp_bot")
     filtered = filter_valuations_by_rules(m4, axiom.rules, [], goal)
     checks.append(_check("axiom filtering validates bot -> p", bool(filtered)))
     checks.append(_check("axiom filtering is exact", filtered.exactness == "exact"))
-    classical = two_valued_matrix(f1.union(f2))
-    rng = random.Random(7)
-    agree = True
-    for _ in range(60):
-        gamma, phi = _random_sequent(rng, sig, depth=3, n_vars=3)
-        lhs = bool(filter_valuations_by_rules(m4, axiom.rules, gamma, phi))
-        rhs = bool(entails(classical, gamma, phi))
-        if lhs != rhs:
-            agree = False
-            break
-    checks.append(_check("filtered semantics agrees with the classical matrix", agree))
-    calc = merge(merge(auto_calculus(f1), auto_calculus(f2)), axiom)
-    bot = parse("bot", sig)
-    found = derive(calc, [bot], parse("p", sig), universe_depth=1, step_cap=500)
     checks.append(
-        _check(
-            "usual falsum rule derivable",
-            bool(found) and verify(found.derivation, calc, [bot], parse("p", sig)),
+        _agrees_with_classical(
+            "filtered semantics agrees with the classical matrix", f1, f2, 7, 3,
+            lambda gamma, phi: filter_valuations_by_rules(m4, axiom.rules, gamma, phi),
         )
     )
-    checks.extend(_expected_recovery_check("imp_bot", f1, f2))
-    return checks
+    calc = _merged(auto_calculus(f1), auto_calculus(f2), axiom)
+    checks.append(_derives("usual falsum rule derivable", calc, [parse("bot", sig)], parse("p", sig), 500))
+    return checks + _recovery_checks(f1, f2, want)
 
 
-def _reproduce_biimp_bot() -> list[Check]:
-    f1, f2 = catalog_fragments("biimp_bot")
-    checks = _expected_recovery_check("biimp_bot", f1, f2)
-    sig = f1.signature.union(f2.signature)
+def _biimp_bot(f1: FragmentSpec, f2: FragmentSpec, want: str) -> list[Check]:
+    checks = _recovery_checks(f1, f2, want)
     product = fibred_semantics(f1, f2, 2)
-    classical = two_valued_matrix(f1.union(f2))
-    rng = random.Random(11)
-    agree = True
-    for _ in range(60):
-        gamma, phi = _random_sequent(rng, sig, depth=3, n_vars=3)
-        if bool(entails(product, gamma, phi)) != bool(entails(classical, gamma, phi)):
-            agree = False
-            break
-    checks.append(_check("product agrees with the classical matrix on samples", agree))
+    checks.append(
+        _agrees_with_classical(
+            "product agrees with the classical matrix on samples", f1, f2, 11, 3,
+            lambda gamma, phi: entails(product, gamma, phi),
+        )
+    )
     return checks
 
 
-def _reproduce_biimp_bot1() -> list[Check]:
-    f1, f2 = catalog_fragments("biimp_bot1")
+def _biimp_bot1(f1: FragmentSpec, f2: FragmentSpec, want: str) -> list[Check]:
     sig = f1.signature.union(f2.signature)
-    checks = _expected_recovery_check("biimp_bot1", f1, f2)
+    checks = _recovery_checks(f1, f2, want)
     probe = k_determinedness_probe(f1, f2, 1, n=2)
     checks.append(_check("not 1-determined (power 2)", bool(probe)))
     product = fibred_semantics(f1, f2, 2)
     goal = parse("iff(bot1(p),bot1(q))", sig)
-    verdict = entails(product, [], goal)
-    checks.append(_check("interaction axiom fails without filtering", isinstance(verdict, Fails)))
-    axiom = builtin_calculus("biimp_bot1")
-    filtered = filter_valuations_by_rules(product, axiom.rules, [], goal)
+    checks += _fails("interaction axiom fails without filtering", product, [], goal)
+    filtered = filter_valuations_by_rules(product, builtin_calculus("biimp_bot1").rules, [], goal)
     checks.append(_check("axiom filtering validates it", bool(filtered)))
     return checks
 
 
-def _reproduce_xor3_two_bots() -> list[Check]:
-    f1, f2 = catalog_fragments("xor3_two_bots")
+def _xor3_two_bots(f1: FragmentSpec, f2: FragmentSpec, want: str) -> list[Check]:
     sig = f1.signature.union(f2.signature)
     product = fibred_semantics(f1, f2, 3)
     checks = [_check("product is 8-valued", len(product.values) == 8)]
@@ -1319,17 +1196,14 @@ def _reproduce_xor3_two_bots() -> list[Check]:
             cm.designates(prem) and not cm.designates(p),
         )
     )
-    verdict = entails(product, [prem], p)
-    checks.append(_check("mixed parity consequence fails", isinstance(verdict, Fails)))
+    checks += _fails("mixed parity consequence fails", product, [prem], p)
     checks.append(
         _check("it holds classically", _classically_valid(f1.union(f2), Sequent.of([prem], p)))
     )
-    checks.extend(_expected_recovery_check("xor3_two_bots", f1, f2))
-    return checks
+    return checks + _recovery_checks(f1, f2, want)
 
 
-def _reproduce_neg_bot() -> list[Check]:
-    f1, f2 = catalog_fragments("neg_bot")
+def _neg_bot(f1: FragmentSpec, f2: FragmentSpec, want: str) -> list[Check]:
     sig = f1.signature.union(f2.signature)
     product = strict_product(three_valued_negation_matrix("neg"), two_valued_matrix(f2))
     half = "1/2"
@@ -1341,72 +1215,65 @@ def _reproduce_neg_bot() -> list[Check]:
         ),
     ]
     goal = parse("neg(bot)", sig)
-    verdict = entails(product, [], goal)
-    checks.append(_check("neg bot is not a theorem", isinstance(verdict, Fails)))
-    if isinstance(verdict, Fails):
-        checks.append(
-            _check(
-                "countermodel assigns the half value",
-                verdict.countermodel.value(parse("bot", sig)) == f"({half},0)",
-            )
-        )
+    bot = parse("bot", sig)
+    checks += _fails(
+        "neg bot is not a theorem", product, [], goal,
+        ("countermodel assigns the half value", lambda cm: cm.value(bot) == f"({half},0)"),
+    )
     checks.append(_check("neg bot gives neg bot", bool(entails(product, [goal], goal))))
     # axiom filtering on the squared classical matrix recovers classicality
     squared = strict_product(power(two_valued_matrix(f1), 2), two_valued_matrix(f2))
     axiom = builtin_calculus("neg_bot")
     filtered = filter_valuations_by_rules(squared, axiom.rules, [], goal)
     checks.append(_check("axiom filtering validates neg bot", bool(filtered)))
-    classical = two_valued_matrix(f1.union(f2))
-    rng = random.Random(13)
-    agree = True
-    for _ in range(60):
-        gamma, phi = _random_sequent(rng, sig, depth=3, n_vars=2)
-        lhs = bool(filter_valuations_by_rules(squared, axiom.rules, gamma, phi))
-        rhs = bool(entails(classical, gamma, phi))
-        if lhs != rhs:
-            agree = False
-            break
-    checks.append(_check("filtered semantics matches the classical matrix", agree))
-    checks.extend(_expected_recovery_check("neg_bot", f1, f2))
-    return checks
+    checks.append(
+        _agrees_with_classical(
+            "filtered semantics matches the classical matrix", f1, f2, 13, 2,
+            lambda gamma, phi: filter_valuations_by_rules(squared, axiom.rules, gamma, phi),
+        )
+    )
+    return checks + _recovery_checks(f1, f2, want)
 
 
-def _random_sequent(rng: random.Random, sig: Signature, depth: int, n_vars: int):
-    names = [f"p{i}" for i in range(1, n_vars + 1)]
-
-    def gen(d: int) -> Formula:
-        conns = [c for c in sig.connectives]
-        if d == 0 or (rng.random() < 0.3 and names):
-            choice = rng.choice(names + [c[0] for c in conns if c[1] == 0])
-            k = sig.arity(choice)
-            return app(choice, ()) if k == 0 else var(choice)
-        conn, k = rng.choice(conns)
-        if k == 0:
-            return app(conn, ())
-        return app(conn, tuple(gen(d - 1) for _ in range(k)))
-
-    n_prem = rng.randrange(0, 3)
-    return [gen(depth) for _ in range(n_prem)], gen(depth)
-
-
-_REPRODUCERS = {
-    "two_conj": _reproduce_two_conj,
-    "two_disj": _reproduce_two_disj,
-    "two_neg": _reproduce_two_neg,
-    "conj_disj": _reproduce_conj_disj,
-    "disj_neg": _reproduce_disj_neg,
-    "coimp_top": _reproduce_coimp_top,
-    "coimp_bot": _reproduce_coimp_bot,
-    "imp_bot": _reproduce_imp_bot,
-    "biimp_bot": _reproduce_biimp_bot,
-    "biimp_bot1": _reproduce_biimp_bot1,
-    "xor3_two_bots": _reproduce_xor3_two_bots,
-    "neg_bot": _reproduce_neg_bot,
+# id -> (its two bundled fragment files, the expected decide_recovery
+# verdict: "sub" or the classical condition, the reproducer)
+_CATALOG = {
+    "two_conj": (("and.json", "and2.json"), "b", _two_conj),
+    "two_disj": (("or.json", "or2.json"), "sub", _two_disj),
+    "two_neg": (("neg.json", "sim.json"), "sub", _two_neg),
+    "conj_disj": (("and.json", "or.json"), "sub", _conj_disj),
+    "disj_neg": (("or.json", "neg.json"), "sub", _disj_neg),
+    "coimp_top": (("coimp.json", "top.json"), "a", _coimp_top),
+    "coimp_bot": (("coimp.json", "bot.json"), "sub", _coimp_bot),
+    "imp_bot": (("imp.json", "bot.json"), "sub", _imp_bot),
+    "biimp_bot": (("iff.json", "bot.json"), "c", _biimp_bot),
+    "biimp_bot1": (("iff.json", "bot1.json"), "sub", _biimp_bot1),
+    "xor3_two_bots": (("xor3.json", "bota_botb.json"), "sub", _xor3_two_bots),
+    "neg_bot": (("neg.json", "bot.json"), "sub", _neg_bot),
 }
+
+CATALOG_IDS = tuple(_CATALOG)
+
+
+def _catalog_entry(example_id: str):
+    try:
+        return _CATALOG[example_id]
+    except KeyError:
+        raise KeyError(f"unknown example {example_id!r}; known: {', '.join(CATALOG_IDS)}") from None
+
+
+@functools.lru_cache(maxsize=None)
+def catalog_fragments(example_id: str) -> tuple[FragmentSpec, FragmentSpec]:
+    """The two fragments of a catalog entry, read from the bundled files."""
+    first, second = _catalog_entry(example_id)[0]
+    return (
+        load_fragment(bundled.read(first, "fragment", builtin=True)),
+        load_fragment(bundled.read(second, "fragment", builtin=True)),
+    )
 
 
 def reproduce(example_id: str) -> Report:
     """Re-run a catalog example's constructions and assertions."""
-    if example_id not in _REPRODUCERS:
-        raise KeyError(f"unknown example {example_id!r}; known: {', '.join(CATALOG_IDS)}")
-    return Report(example_id, tuple(_REPRODUCERS[example_id]()))
+    _, want, checks = _catalog_entry(example_id)
+    f1, f2 = catalog_fragments(example_id)
+    return Report(example_id, tuple(checks(f1, f2, want)))

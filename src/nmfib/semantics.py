@@ -15,10 +15,10 @@ report files unchanged.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
+from . import bundled
 from .syntax import (
     App,
     Formula,
@@ -462,12 +462,13 @@ def bounded_saturation_check(
 # ---------------------------------------------------------------------------
 
 def load_system(data: Mapping, allow_degenerate: bool = False) -> Nmatrix:
-    sig = Signature.of([(c["name"], int(c["arity"])) for c in data["signature"]])
+    sig = Signature.of(bundled.signature_pairs(data["signature"]))
     interp: dict[str, dict[tuple[str, ...], tuple[str, ...]]] = {}
     for conn, rows in data["interpretation"].items():
         cells = {}
         for row in rows:
-            cells[tuple(row["args"])] = tuple(row["out"])
+            args, out = bundled.fields(row, f"an interpretation row of {conn!r}", "args", "out")
+            cells[tuple(args)] = tuple(out)
         interp[conn] = cells
     return Nmatrix(
         sig,
@@ -498,11 +499,6 @@ def dump_system(matrix: Nmatrix) -> dict:
     if matrix.saturated:
         out["saturated"] = True
     return out
-
-
-def load_system_file(path: str, allow_degenerate: bool = False) -> Nmatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_system(json.load(fh), allow_degenerate=allow_degenerate)
 
 
 def two_valued_matrix(fragment, name: str = "", saturated: Optional[bool] = None) -> Nmatrix:

@@ -1,8 +1,11 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from nmfib.cli import main
+
+SYSTEMS = Path(__file__).resolve().parents[1] / "src" / "nmfib" / "systems"
 
 
 def run(capsys, *argv):
@@ -212,3 +215,71 @@ def test_clone_subcommand(capsys):
     lines = out.splitlines()
     assert lines[0] == "4 functions at arity 2"
     assert "contains 0110: no" in out
+
+
+NEG_SIGNATURE = [{"name": "neg", "arity": 1}]
+
+
+@pytest.mark.parametrize(
+    "kind, data, message",
+    [
+        (
+            "system",
+            {
+                "signature": NEG_SIGNATURE,
+                "values": ["0", "1"],
+                "designated": ["1"],
+                "interpretation": {"neg": [{"args": ["0"], "out": ["1"]}, {"args": ["1"]}]},
+            },
+            "an interpretation row of 'neg' has no 'out'",
+        ),
+        (
+            "system",
+            {"signature": [{"name": "neg"}], "values": ["0", "1"], "designated": ["1"], "interpretation": {}},
+            "signature entry 'neg' has no 'arity'",
+        ),
+        (
+            "calculus",
+            {"signature": NEG_SIGNATURE, "rules": [{"name": "n1", "premises": ["neg(neg(p))"]}]},
+            "rule 'n1' has no 'conclusion'",
+        ),
+        (
+            "fragment",
+            {"connectives": [{"name": "neg", "arity": 1}]},
+            "connective 'neg' has no 'table'",
+        ),
+    ],
+)
+def test_malformed_entry_is_named(tmp_path, capsys, kind, data, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    argv = {
+        "system": ("entail", "--system", str(path), "--conclusion", "neg(p)"),
+        "calculus": ("derive", "--calculus", str(path), "--goal", "neg(p)"),
+        "fragment": ("decide-recovery", str(path), "bot.json"),
+    }[kind]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_builtins_are_not_shadowed_by_the_working_directory(tmp_path, monkeypatch, capsys):
+    from nmfib.calculus import builtin_calculus, load_calculus
+    from nmfib.fibring import catalog_fragments
+
+    bundled_or = json.loads((SYSTEMS / "B_or.json").read_text())
+    code, expected, _ = run(capsys, "reproduce", "two_disj", "--json")
+    assert code == 0
+    # a different B_or calculus and an or fragment with the table of and
+    (tmp_path / "B_or.json").write_text(
+        json.dumps({"signature": [{"name": "or", "arity": 2}], "rules": [{"name": "d1", "conclusion": "or(p,p)"}]})
+    )
+    (tmp_path / "or.json").write_text(json.dumps({"connectives": [{"name": "or", "arity": 2, "table": "0001"}]}))
+    monkeypatch.chdir(tmp_path)
+    builtin_calculus.cache_clear()
+    catalog_fragments.cache_clear()
+    assert builtin_calculus("B_or") == load_calculus(bundled_or)
+    code, out, _ = run(capsys, "reproduce", "two_disj", "--json")
+    assert code == 0 and out == expected
+    # a name given on the command line still finds the working directory first
+    code, out, _ = run(capsys, "decide-recovery", "or.json", "bot.json")
+    assert code == 0 and out == "CLASSICAL (condition b)\n"

@@ -10,7 +10,7 @@ from nmfib.boolfun import (
     standard_fragment,
     standard_function,
 )
-from nmfib.calculus import builtin_calculus, load_calculus
+from nmfib.calculus import BUILTIN_IDS, builtin_calculus, load_calculus
 from nmfib.fibring import (
     CATALOG_IDS,
     Classical,
@@ -34,6 +34,7 @@ from nmfib.fibring import (
     truth_preserving_bot_matrix,
     _random_sequent,
 )
+from nmfib.matrixops import matrices_equal, strict_product
 from nmfib.semantics import Fails, MatrixError, entails, load_system, two_valued_matrix
 from nmfib.boolfun import load_fragment
 from nmfib.syntax import Signature, parse, text
@@ -362,18 +363,60 @@ def test_reproduce_all_catalog_entries():
         reproduce("nope")
 
 
+# the classical table each bundled connective name stands for, where the
+# name is not itself a standard connective
+_CLASSICAL_ALIAS = {"sim": "neg", "or2": "or", "and2": "and", "bota": "bot", "botb": "bot", "bot2": "bot", "top2": "top"}
+_OWN_TABLES = {"bot1": BooleanFunction.from_string("00", 1), "bowtie": BooleanFunction.from_string("00000111", 3)}
+
+
+def _classical_function(name: str) -> BooleanFunction:
+    if name in _OWN_TABLES:
+        return _OWN_TABLES[name]
+    return standard_function(_CLASSICAL_ALIAS.get(name, name))
+
+
 def test_bundled_system_files_load():
     names = sorted(p.name for p in SYSTEMS.glob("*.json"))
     assert names, "bundled systems directory is empty"
+    calculus_stems = []
     for name in names:
         data = json.loads((SYSTEMS / name).read_text())
         if "connectives" in data:
-            load_fragment(data)
+            # each fragment file holds the classical tables of its names
+            frag = load_fragment(data)
+            assert frag == FragmentSpec.of({n: _classical_function(n) for n in frag.names()}), name
         elif "values" in data:
             load_system(data)
         elif "rules" in data:
-            load_calculus(data)
+            calc = load_calculus(data)
+            calculus_stems.append(name[: -len(".json")])
+            # each rule is sound on the two-valued matrix of the signature
+            classical = two_valued_matrix(
+                FragmentSpec.of({n: _classical_function(n) for n in calc.signature.names()})
+            )
+            for rule in calc.rules:
+                assert entails(classical, list(rule.premises), rule.conclusion), (name, str(rule))
+            assert builtin_calculus(name[: -len(".json")]) == calc, name
         elif "mapping" in data:
             pass  # translation file: checked via the CLI tests
         else:
             raise AssertionError(f"unrecognized bundled file {name}")
+    assert BUILTIN_IDS == tuple(calculus_stems)
+
+    # each golden matrix equals the constructor that claims to produce it
+    f_coimp, f_bot = catalog_fragments("coimp_bot")
+    golden = {
+        "m3_neg.json": three_valued_negation_matrix("neg"),
+        "m3_sim.json": three_valued_negation_matrix("sim"),
+        "two_neg_product.json": strict_product(three_valued_negation_matrix("neg"), three_valued_negation_matrix("sim")),
+        "neg_bot_product.json": strict_product(three_valued_negation_matrix("neg"), two_valued_matrix(f_bot)),
+        "imp_bot_m4.json": truth_preserving_bot_matrix(standard_fragment("imp"), "bot"),
+        "coimp_bot_product.json": fibred_semantics(f_coimp, f_bot, 2),
+    }
+    for name, matrix in golden.items():
+        assert matrices_equal(load_system(json.loads((SYSTEMS / name).read_text())), matrix), name
+
+    # the catalog's fragments hold the classical tables of their names
+    for cid in CATALOG_IDS:
+        for frag in catalog_fragments(cid):
+            assert frag == FragmentSpec.of({n: _classical_function(n) for n in frag.names()}), cid
