@@ -9,6 +9,7 @@ first, so the classical 'or' is "0111".
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -34,6 +35,7 @@ __all__ = [
     "in_clone_top",
     "in_clone_and_top_bot",
     "in_clone_biimp",
+    "separation_degree",
     "FragmentSpec",
     "fragment_functions_at_arity_one",
     "fragment_in_clone",
@@ -252,6 +254,22 @@ def in_clone_biimp(f: BooleanFunction) -> bool:
     return p.affine and p.preserves1
 
 
+def separation_degree(f: BooleanFunction) -> float:
+    """The largest k such that every k true rows of f share a coordinate
+    equal to 1; infinity when all its true rows share one.  T0_k, the clone
+    of coimp and thr_{k+1}_k, holds the functions of degree at least k, and
+    T0_inf, the clone of coimp, those of infinite degree (Post 1941)."""
+    ones = [r for r in range(1 << f.arity) if f.on_row(r)]
+    # the meets of k true rows, as masks of the coordinates they share
+    meets, k = {(1 << f.arity) - 1}, -1
+    while 0 not in meets:
+        grown = {m & r for m in meets for r in ones}
+        if grown == meets:
+            return math.inf
+        meets, k = grown, k + 1
+    return k
+
+
 # ---------------------------------------------------------------------------
 # Fragments of classical logic
 # ---------------------------------------------------------------------------
@@ -315,7 +333,8 @@ def fragment_in_clone(frag: FragmentSpec, clone: str) -> bool:
     return True
 
 
-_COATOMS = ("P0", "P1", "A", "M", "D")
+# Post's five maximal clones, each with the PostPredicates field true of its members
+_COATOMS = (("P0", "preserves0"), ("P1", "preserves1"), ("A", "affine"), ("M", "monotone"), ("D", "self_dual"))
 
 
 @dataclass(frozen=True)
@@ -328,16 +347,7 @@ class CompletenessVerdict:
 def functionally_complete(frag: FragmentSpec) -> CompletenessVerdict:
     """Post's criterion: complete iff each of the five maximal clones is escaped."""
     preds = [post_predicates(f) for _, f in fragment_functions_at_arity_one(frag)]
-    preserved = tuple(
-        name for name, get in (
-            ("P0", lambda p: p.preserves0),
-            ("P1", lambda p: p.preserves1),
-            ("A", lambda p: p.affine),
-            ("M", lambda p: p.monotone),
-            ("D", lambda p: p.self_dual),
-        )
-        if all(get(p) for p in preds)
-    )
+    preserved = tuple(name for name, field in _COATOMS if all(getattr(p, field) for p in preds))
     if preserved:
         return CompletenessVerdict(False, preserved[0], preserved)
     return CompletenessVerdict(True, None, ())

@@ -14,7 +14,7 @@ import json
 from importlib import resources
 from pathlib import Path
 
-__all__ = ["FILE_KEYS", "read", "stems", "fields", "signature_pairs"]
+__all__ = ["FILE_KEYS", "KEY_TYPES", "read", "stems", "expect", "fields", "signature_pairs"]
 
 # the top-level keys each kind of file must have
 FILE_KEYS = {
@@ -25,6 +25,16 @@ FILE_KEYS = {
 }
 
 _SYSTEMS = resources.files("nmfib") / "systems"
+
+# the JSON type of each key that the loaders read, at the top of a file or in an entry
+KEY_TYPES = {
+    **dict.fromkeys(("connectives", "signature", "values", "designated", "rules", "source"), list),
+    **dict.fromkeys(("interpretation", "mapping"), dict),
+    **dict.fromkeys(("args", "out", "premises"), list),
+    **dict.fromkeys(("name", "table", "conclusion"), str),
+    "arity": int,
+}
+_TYPE_NAMES = {str: "a string", int: "an integer", list: "a list", dict: "an object"}
 
 
 def _missing(data: object, kind: str) -> list[str]:
@@ -45,6 +55,8 @@ def read(name: str, kind: str, builtin: bool = False) -> dict:
     missing = _missing(data, kind)
     if missing:
         raise ValueError(f"{name} is not a {kind} file (missing {', '.join(repr(k) for k in missing)})")
+    for key in FILE_KEYS[kind]:
+        expect(data[key], KEY_TYPES[key], f"the {key!r} of {name}")
     return data
 
 
@@ -59,19 +71,26 @@ def stems(kind: str) -> tuple[str, ...]:
     )
 
 
+def expect(value: object, kind: type, what: str) -> object:
+    """``value`` when it is a ``kind``; otherwise a ValueError naming ``what``."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} is not {_TYPE_NAMES[kind]}: {value!r}")
+    return value
+
+
 def fields(entry: object, what: str, *keys: str) -> tuple:
     """The values of ``keys`` in one entry of a file.
 
-    A missing key is a ValueError naming the entry (``what``, followed by
-    the entry's "name" when it has one) and the key."""
+    A missing key, or a value not of its ``KEY_TYPES`` type, is a ValueError
+    naming the entry (``what`` and its "name", if any) and the key."""
     if not isinstance(entry, dict):
         raise ValueError(f"{what} is not an object: {entry!r}")
+    if "name" in entry:
+        what = f"{what} {entry['name']!r}"
     missing = [key for key in keys if key not in entry]
     if missing:
-        if "name" in entry:
-            what = f"{what} {entry['name']!r}"
         raise ValueError(f"{what} has no {', '.join(repr(k) for k in missing)}")
-    return tuple(entry[key] for key in keys)
+    return tuple(expect(entry[key], KEY_TYPES[key], f"the {key!r} of {what}") for key in keys)
 
 
 def signature_pairs(entries: object, what: str = "signature entry") -> list[tuple[str, int]]:

@@ -489,10 +489,11 @@ def load_calculus(data: Mapping) -> HilbertCalculus:
     rules = []
     for r in data["rules"]:
         (conclusion,) = bundled.fields(r, "rule", "conclusion")
+        premises = bundled.fields(r, "rule", "premises")[0] if "premises" in r else []
         rules.append(
             Rule.of(
                 r.get("name", f"r{len(rules)}"),
-                [parse(p, sig) for p in r.get("premises", [])],
+                [parse(p, sig) for p in premises],
                 parse(conclusion, sig),
             )
         )

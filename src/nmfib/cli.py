@@ -3,7 +3,7 @@
 Every subcommand produces byte-identical output for identical inputs: all
 collections are emitted in canonical order and --json output is serialized
 with sorted keys.  Exit codes: 0 for a decided run, 2 for bounded verdicts
-(Unknown, OutOfBound, NotFoundAtBound, no witness), 1 for errors.
+(Unknown, NotFoundAtBound, no witness), 1 for errors.
 """
 
 from __future__ import annotations
@@ -316,16 +316,11 @@ def cmd_certify(args) -> int:
 def cmd_fc_recovery(args) -> int:
     f1 = _load_fragment(args.f1)
     f2 = _load_fragment(args.f2)
-    out = fibring.decide_fc_recovery(f1, f2, n_max=args.nmax)
+    out = fibring.decide_fc_recovery(f1, f2)
     payload = {"verdict": out.outcome, "clone": out.clone, "up1_side": out.up1_side}
-    if out.outcome == "Recovered":
-        _emit(args, payload, [f"RECOVERED ({out.clone} with UP1 on side {out.up1_side})"])
-        return 0
-    if out.outcome == "NotRecovered":
-        _emit(args, payload, ["NOT RECOVERED"])
-        return 0
-    _emit(args, payload, [f"OUT OF BOUND ({out.detail})"])
-    return 2
+    recovered = f"RECOVERED ({out.clone} with UP1 on side {out.up1_side})"
+    _emit(args, payload, [recovered if out.outcome == "Recovered" else "NOT RECOVERED"])
+    return 0
 
 
 def cmd_kdet(args) -> int:
@@ -464,7 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("fc-recovery", help="functional-completeness recovery decision")
     sp.add_argument("f1")
     sp.add_argument("f2")
-    sp.add_argument("--nmax", type=int, default=2)
     _add_json(sp)
     sp.set_defaults(fn=cmd_fc_recovery)
 
@@ -493,7 +487,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         syntax.ParseError,
         syntax.SignatureError,
         semantics.MatrixError,
-        boolfun.ClosureBudgetExceeded,
         KeyError,
         ValueError,
         OSError,

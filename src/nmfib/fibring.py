@@ -23,22 +23,24 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from . import bundled
 from .boolfun import (
     BooleanFunction,
-    ClosureBudgetExceeded,
     FragmentSpec,
     classify,
-    clone_closure_at_arity,
     find_expression,
+    fragment_functions_at_arity_one,
     fragment_in_clone,
     functionally_complete,
     load_fragment,
     nontop_unary_witness,
+    post_predicates,
+    separation_degree,
     standard_function,
 )
 from .calculus import (
@@ -380,9 +382,9 @@ def _curated_sequents(f1: FragmentSpec, f2: FragmentSpec) -> list[Sequent]:
 
 def _fallback_search(
     f1: FragmentSpec, f2: FragmentSpec, union: FragmentSpec, search_depth: int, pool_cap: int = 120
-) -> list[Sequent]:
+) -> Iterator[Sequent]:
     """Empty- and single-premise sequents over a depth-bounded formula pool,
-    in canonical order.  The pool cap keeps the sweep desk-scale."""
+    in canonical order, generated lazily; the pool cap keeps it desk-scale."""
     sig = union.signature
     pool: list[Formula] = [var("p"), var("q")]
     seen = set(pool)
@@ -401,14 +403,12 @@ def _fallback_search(
         if len(pool) >= pool_cap:
             break
     pool = canon_sort(pool)
-    out = []
     for concl in pool:
-        out.append(Sequent.of([], concl))
+        yield Sequent.of([], concl)
     for prem in pool:
         for concl in pool:
             if prem != concl:
-                out.append(Sequent.of([prem], concl))
-    return out
+                yield Sequent.of([prem], concl)
 
 
 def subclassical_witness(
@@ -422,14 +422,8 @@ def subclassical_witness(
     product, with its countermodel; curated candidates first, bounded
     sequent search as a fallback."""
     union = f1.union(f2)
-    for seq in _curated_sequents(f1, f2):
-        if not _classically_valid(union, seq):
-            continue
-        hit = _refute_in_product(f1, f2, seq, n, n_cap)
-        if hit is not None:
-            level, cm = hit
-            return Subclassical(seq, level, cm)
-    for seq in _fallback_search(f1, f2, union, search_depth):
+    # _fallback_search builds its pool only once every curated candidate failed
+    for seq in itertools.chain(_curated_sequents(f1, f2), _fallback_search(f1, f2, union, search_depth)):
         if not _classically_valid(union, seq):
             continue
         hit = _refute_in_product(f1, f2, seq, n, n_cap)
@@ -556,22 +550,23 @@ def certify_entailment(
     premises = canon_sort(premises)
     product = fibred_semantics(f1, f2, n)
     calc = merge(_component_calculus(f1), _component_calculus(f2))
+
+    def derived(rules: HilbertCalculus) -> Optional[Yes]:
+        found = derive(rules, premises, conclusion, universe_depth=universe_depth, step_cap=step_cap)
+        if not found:
+            return None
+        if not verify(found.derivation, rules, premises, conclusion):
+            raise AssertionError("derivation failed to re-verify")
+        return Yes(found.derivation)
+
     if extra_rules is None or not extra_rules.rules:
         semantic = entails(product, premises, conclusion)
         if isinstance(semantic, Fails):
             return No(semantic.countermodel, n)
-        found = derive(calc, premises, conclusion, universe_depth=universe_depth, step_cap=step_cap)
-        if found:
-            if not verify(found.derivation, calc, premises, conclusion):
-                raise AssertionError("derivation failed to re-verify")
-            return Yes(found.derivation)
-        return Unknown(n, universe_depth, step_cap)
-    calc = merge(calc, extra_rules)
-    found = derive(calc, premises, conclusion, universe_depth=universe_depth, step_cap=step_cap)
-    if found:
-        if not verify(found.derivation, calc, premises, conclusion):
-            raise AssertionError("derivation failed to re-verify")
-        return Yes(found.derivation)
+        return derived(calc) or Unknown(n, universe_depth, step_cap)
+    yes = derived(merge(calc, extra_rules))
+    if yes:
+        return yes
     filtered = filter_valuations_by_rules(
         product, extra_rules.rules, premises, conclusion, saturated=product.saturated
     )
@@ -586,49 +581,18 @@ def certify_entailment(
 
 @dataclass(frozen=True)
 class FcOutcome:
-    outcome: str  # "Recovered", "NotRecovered", "OutOfBound"
+    outcome: str  # "Recovered" or "NotRecovered"
     clone: Optional[str] = None
     up1_side: Optional[int] = None
-    detail: str = ""
 
 
-def _is_up1(frag: FragmentSpec) -> bool:
-    if not fragment_in_clone(frag, "top"):
-        return False
-    return any(classify(f).top_like for _, f in frag.functions)
-
-
-@functools.lru_cache(maxsize=256)
-def _closure_memo(funcs: tuple[BooleanFunction, ...], k: int) -> frozenset[BooleanFunction]:
-    return clone_closure_at_arity(list(funcs), k)
-
-
-def _clone_equals(frag: FragmentSpec, gens: Mapping[str, BooleanFunction]) -> Optional[bool]:
-    """Mutual generator membership; None when a closure hits its budget."""
-    from .boolfun import fragment_functions_at_arity_one
-
-    funcs = tuple(f for _, f in fragment_functions_at_arity_one(frag))
-    gen_funcs = tuple(sorted(set(gens.values()), key=lambda f: (f.arity, f.bits)))
-    try:
-        for g in gens.values():
-            if g not in _closure_memo(funcs, g.arity):
-                return False
-        for f in funcs:
-            if f.arity > 4:
-                return None
-            if f not in _closure_memo(gen_funcs, f.arity):
-                return False
-    except ClosureBudgetExceeded:
-        return None
-    return True
-
-
-def decide_fc_recovery(f1: FragmentSpec, f2: FragmentSpec, n_max: int = 2) -> FcOutcome:
+def decide_fc_recovery(f1: FragmentSpec, f2: FragmentSpec) -> FcOutcome:
     """When neither fragment is functionally complete but the union is:
     recovery happens exactly when one side generates only top-likes and
-    projections (with some top-like present) and the other side's clone is
-    the self-dual clone, the coimplication clone, or one of the bounded
-    threshold-coimplication family."""
+    projections (with a top-like, or the other side would be complete).
+    The other side then escapes P1, M and A (top completes it) but lies in
+    P0 or D (it is incomplete), which in Post's lattice leaves the self-dual
+    clone D, T0_k (k >= 1) and T0_inf; it is named from its tables."""
     if not f1.signature.disjoint_from(f2.signature):
         raise MatrixError("decide_fc_recovery needs disjoint signatures")
     union = f1.union(f2)
@@ -637,34 +601,14 @@ def decide_fc_recovery(f1: FragmentSpec, f2: FragmentSpec, n_max: int = 2) -> Fc
     for i, frag in ((1, f1), (2, f2)):
         if functionally_complete(frag).complete:
             raise MatrixError(f"precondition violated: fragment {i} is already complete")
-    targets: list[tuple[str, dict[str, BooleanFunction]]] = [
-        ("D", {"thr_3_2": standard_function("thr_3_2"), "neg": standard_function("neg")}),
-        ("T0_inf", {"coimp": standard_function("coimp")}),
-    ]
-    out_of_bound = n_max > 2
-    for level in range(0, min(n_max, 2) + 1):
-        targets.append(
-            (
-                f"T0_{level + 1}",
-                {
-                    f"thr_{level + 2}_{level + 1}": standard_function(f"thr_{level + 2}_{level + 1}"),
-                    "coimp": standard_function("coimp"),
-                },
-            )
-        )
-    saw_budget = False
-    for up_side, other_side, up_idx in ((f1, f2, 1), (f2, f1, 2)):
-        if not _is_up1(up_side):
+    for up_idx, up_side, partner in ((1, f1, f2), (2, f2, f1)):
+        if not fragment_in_clone(up_side, "top"):
             continue
-        for clone_name, gens in targets:
-            eq = _clone_equals(other_side, gens)
-            if eq is None:
-                saw_budget = True
-                continue
-            if eq:
-                return FcOutcome("Recovered", clone_name, up_idx)
-    if saw_budget or out_of_bound:
-        return FcOutcome("OutOfBound", detail=f"n_max={n_max}, closure arity cap 4")
+        funcs = [f for _, f in fragment_functions_at_arity_one(partner)]
+        if all(post_predicates(f).self_dual for f in funcs):
+            return FcOutcome("Recovered", "D", up_idx)
+        degree = min(separation_degree(f) for f in funcs)
+        return FcOutcome("Recovered", "T0_inf" if degree == math.inf else f"T0_{degree}", up_idx)
     return FcOutcome("NotRecovered")
 
 

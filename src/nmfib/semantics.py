@@ -466,7 +466,7 @@ def load_system(data: Mapping, allow_degenerate: bool = False) -> Nmatrix:
     interp: dict[str, dict[tuple[str, ...], tuple[str, ...]]] = {}
     for conn, rows in data["interpretation"].items():
         cells = {}
-        for row in rows:
+        for row in bundled.expect(rows, list, f"the interpretation of {conn!r}"):
             args, out = bundled.fields(row, f"an interpretation row of {conn!r}", "args", "out")
             cells[tuple(args)] = tuple(out)
         interp[conn] = cells

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from nmfib.boolfun import (
     in_clone_top,
     nontop_unary_witness,
     post_predicates,
+    separation_degree,
     standard_fragment,
     standard_function,
     threshold_function,
@@ -119,6 +121,11 @@ def test_closed_forms_agree_with_closure_exhaustively():
             in_clone_and_top_bot,
         ),
         "biimp": ([standard_function("iff")], in_clone_biimp),
+        # the partner clones that decide_fc_recovery names in closed form
+        "D": ([standard_function("thr_3_2"), standard_function("neg")], lambda f: post_predicates(f).self_dual),
+        "T0_inf": ([standard_function("coimp")], lambda f: separation_degree(f) == math.inf),
+        "T0_1": ([standard_function("or"), standard_function("coimp")], lambda f: separation_degree(f) >= 1),
+        "T0_2": ([standard_function("thr_3_2"), standard_function("coimp")], lambda f: separation_degree(f) >= 2),
     }
     for k in (1, 2, 3):
         for name, (g, test) in gens.items():

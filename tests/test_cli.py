@@ -158,7 +158,7 @@ def test_witness_kdet_fc_certify(capsys):
     assert code == 2 and out.startswith("NONE FOUND")
 
     code, out, _ = run(capsys, "fc-recovery", "coimp.json", "top.json")
-    assert code == 0 and out.startswith("RECOVERED")
+    assert (code, out) == (0, "RECOVERED (T0_inf with UP1 on side 2)\n")
 
     code, out, _ = run(
         capsys,
@@ -248,15 +248,35 @@ NEG_SIGNATURE = [{"name": "neg", "arity": 1}]
             {"connectives": [{"name": "neg", "arity": 1}]},
             "connective 'neg' has no 'table'",
         ),
+        (
+            "system",
+            {"signature": NEG_SIGNATURE, "values": ["0", "1"], "designated": ["1"], "interpretation": {"neg": 5}},
+            "the interpretation of 'neg' is not a list: 5",
+        ),
+        (
+            "fragment",
+            {"connectives": [{"name": "neg", "arity": 1, "table": 10}]},
+            "the 'table' of connective 'neg' is not a string: 10",
+        ),
+        (
+            "calculus",
+            {"signature": NEG_SIGNATURE, "rules": [{"name": "n1", "premises": "neg(p)", "conclusion": "p"}]},
+            "the 'premises' of rule 'n1' is not a list: 'neg(p)'",
+        ),
+        (
+            "system",
+            {"signature": NEG_SIGNATURE, "values": ["0", "1"], "designated": ["1"], "interpretation": [5]},
+            "the 'interpretation' of bad.json is not an object: [5]",
+        ),
     ],
 )
-def test_malformed_entry_is_named(tmp_path, capsys, kind, data, message):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(data))
+def test_malformed_entry_is_named(tmp_path, monkeypatch, capsys, kind, data, message):
+    (tmp_path / "bad.json").write_text(json.dumps(data))
+    monkeypatch.chdir(tmp_path)
     argv = {
-        "system": ("entail", "--system", str(path), "--conclusion", "neg(p)"),
-        "calculus": ("derive", "--calculus", str(path), "--goal", "neg(p)"),
-        "fragment": ("decide-recovery", str(path), "bot.json"),
+        "system": ("entail", "--system", "bad.json", "--conclusion", "neg(p)"),
+        "calculus": ("derive", "--calculus", "bad.json", "--goal", "neg(p)"),
+        "fragment": ("decide-recovery", "bad.json", "bot.json"),
     }[kind]
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (1, "", f"error: {message}\n")

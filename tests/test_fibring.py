@@ -1,5 +1,7 @@
+import itertools
 import json
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -7,6 +9,9 @@ import pytest
 from nmfib.boolfun import (
     BooleanFunction,
     FragmentSpec,
+    clone_closure_at_arity,
+    fragment_functions_at_arity_one,
+    functionally_complete,
     standard_fragment,
     standard_function,
 )
@@ -14,6 +19,7 @@ from nmfib.calculus import BUILTIN_IDS, builtin_calculus, load_calculus
 from nmfib.fibring import (
     CATALOG_IDS,
     Classical,
+    FcOutcome,
     No,
     Sequent,
     Subclassical,
@@ -249,19 +255,65 @@ def test_certify_unknown_reports_bounds():
 
 
 def test_fc_recovery():
-    assert decide_fc_recovery(standard_fragment("coimp"), standard_fragment("top")).outcome == "Recovered"
+    top = standard_fragment("top")
+    assert decide_fc_recovery(standard_fragment("coimp"), top) == FcOutcome("Recovered", "T0_inf", 2)
     maj_neg = FragmentSpec.of(
         {"thr_3_2": standard_function("thr_3_2"), "neg": standard_function("neg")}
     )
-    out = decide_fc_recovery(maj_neg, standard_fragment("top"))
-    assert out.outcome == "Recovered" and out.clone == "D"
+    assert decide_fc_recovery(maj_neg, top) == FcOutcome("Recovered", "D", 2)
     with pytest.raises(MatrixError):
-        decide_fc_recovery(standard_fragment("or", "neg"), standard_fragment("top"))
+        decide_fc_recovery(standard_fragment("or", "neg"), top)
     with pytest.raises(MatrixError):
-        decide_fc_recovery(standard_fragment("and"), standard_fragment("top"))
-    # incomplete union with a UP1 side that pairs with no listed clone
-    out = decide_fc_recovery(standard_fragment("or", "coimp"), standard_fragment("top"))
-    assert out.outcome == "Recovered" and out.clone == "T0_1"
+        decide_fc_recovery(standard_fragment("and"), top)
+    # or and coimp generate every 0-preserving function
+    assert decide_fc_recovery(standard_fragment("or", "coimp"), top) == FcOutcome("Recovered", "T0_1", 2)
+    # complete together, but neither side is made of top-likes and projections
+    assert decide_fc_recovery(standard_fragment("coimp"), standard_fragment("imp")) == FcOutcome("NotRecovered")
+
+
+def test_fc_recovery_names_clones_past_the_closure_arity():
+    top = standard_fragment("top")
+    # W6: majority with a dummy 4th argument, plus neg, generates D
+    maj4 = BooleanFunction.from_callable(4, lambda a, b, c, d: a + b + c >= 2)
+    start = time.perf_counter()
+    out = decide_fc_recovery(FragmentSpec.of({"maj4": maj4, "neg": standard_function("neg")}), top)
+    assert out == FcOutcome("Recovered", "D", 2)
+    assert time.perf_counter() - start < 0.5
+    assert decide_fc_recovery(standard_fragment("thr_4_3", "coimp"), top) == FcOutcome("Recovered", "T0_3", 2)
+    assert decide_fc_recovery(top, standard_fragment("thr_3_2", "coimp")) == FcOutcome("Recovered", "T0_2", 1)
+
+
+def _fc_clone_by_closure(frag: FragmentSpec):
+    """The clone of frag among D, T0_inf and T0_1..T0_3 by mutual generator
+    membership under clone_closure_at_arity: the frag's members lie in the
+    closure of the clone's generators and the generators in the frag's."""
+    funcs = [f for _, f in fragment_functions_at_arity_one(frag)]
+    targets = [("D", ("thr_3_2", "neg")), ("T0_inf", ("coimp",))]
+    targets += [(f"T0_{k}", (f"thr_{k + 1}_{k}", "coimp")) for k in (1, 2, 3)]
+    for clone, names in targets:
+        gens = [standard_function(name) for name in names]
+        if all(g in clone_closure_at_arity(funcs, g.arity) for g in gens) and all(
+            f in clone_closure_at_arity(gens, f.arity) for f in funcs
+        ):
+            return clone
+    return None
+
+
+def test_fc_recovery_agrees_with_closure():
+    top = standard_fragment("top")
+    pool = [BooleanFunction(k, bits) for k in (0, 1, 2) for bits in range(1 << (1 << k))]
+    cases = 0
+    for size in (1, 2):
+        for funcs in itertools.combinations(pool, size):
+            frag = FragmentSpec.of({f"c{i}": f for i, f in enumerate(funcs)})
+            if functionally_complete(frag).complete or not functionally_complete(frag.union(top)).complete:
+                continue
+            clone = _fc_clone_by_closure(frag)
+            assert clone is not None, frag
+            assert decide_fc_recovery(frag, top) == FcOutcome("Recovered", clone, 2), frag
+            assert decide_fc_recovery(top, frag) == FcOutcome("Recovered", clone, 1), frag
+            cases += 1
+    assert cases == 23
 
 
 def test_kdet_probe():
