@@ -14,7 +14,7 @@ import json
 from importlib import resources
 from pathlib import Path
 
-__all__ = ["FILE_KEYS", "KEY_TYPES", "read", "stems", "expect", "fields", "signature_pairs"]
+__all__ = ["FILE_KEYS", "KEY_TYPES", "ITEM_TYPES", "read", "stems", "expect", "fields", "signature_pairs"]
 
 # the top-level keys each kind of file must have
 FILE_KEYS = {
@@ -34,6 +34,8 @@ KEY_TYPES = {
     **dict.fromkeys(("name", "table", "conclusion"), str),
     "arity": int,
 }
+# the JSON type of each item of a list key, or of each value of an object key
+ITEM_TYPES = dict.fromkeys(("values", "designated", "args", "out", "premises", "mapping"), str)
 _TYPE_NAMES = {str: "a string", int: "an integer", list: "a list", dict: "an object"}
 
 
@@ -56,7 +58,7 @@ def read(name: str, kind: str, builtin: bool = False) -> dict:
     if missing:
         raise ValueError(f"{name} is not a {kind} file (missing {', '.join(repr(k) for k in missing)})")
     for key in FILE_KEYS[kind]:
-        expect(data[key], KEY_TYPES[key], f"the {key!r} of {name}")
+        _typed(data[key], key, name)
     return data
 
 
@@ -90,7 +92,23 @@ def fields(entry: object, what: str, *keys: str) -> tuple:
     missing = [key for key in keys if key not in entry]
     if missing:
         raise ValueError(f"{what} has no {', '.join(repr(k) for k in missing)}")
-    return tuple(expect(entry[key], KEY_TYPES[key], f"the {key!r} of {what}") for key in keys)
+    return tuple(_typed(entry[key], key, what) for key in keys)
+
+
+def _typed(value: object, key: str, what: str) -> object:
+    """``value`` when it has the ``KEY_TYPES`` type of ``key`` and its items
+    or values the ``ITEM_TYPES`` type; otherwise a ValueError naming the key
+    of ``what``, and the item when one is wrong."""
+    expect(value, KEY_TYPES[key], f"the {key!r} of {what}")
+    item = ITEM_TYPES.get(key)
+    if item is not None:
+        if isinstance(value, dict):
+            for name, v in value.items():
+                expect(v, item, f"the {key!r} entry {name!r} of {what}")
+        else:
+            for v in value:
+                expect(v, item, f"an item of the {key!r} of {what}")
+    return value
 
 
 def signature_pairs(entries: object, what: str = "signature entry") -> list[tuple[str, int]]:

@@ -9,6 +9,7 @@ with sorted keys.  Exit codes: 0 for a decided run, 2 for bounded verdicts
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -478,9 +479,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args leaves the parser unchanged
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (

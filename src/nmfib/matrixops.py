@@ -67,7 +67,8 @@ def power(matrix: Nmatrix, n: int, cap: Optional[int] = None) -> Nmatrix:
 
     The n-power is n-saturated and defines the same consequence relation as
     the matrix itself, which is what makes finite powers usable stand-ins
-    for the idealized limit construction.
+    for the idealized limit construction.  The result records (matrix, n)
+    as its `power_of`; n = 1 returns the matrix itself.
     """
     if n < 1:
         raise MatrixError("power needs n >= 1")
@@ -90,7 +91,7 @@ def power(matrix: Nmatrix, n: int, cap: Optional[int] = None) -> Nmatrix:
             cells[tuple(name_of[a] for a in args)] = tuple(outs)
         interp[conn] = cells
     label = f"{matrix.name}^{n}" if matrix.name else ""
-    return Nmatrix(
+    result = Nmatrix(
         matrix.signature,
         [name_of[t] for t in tuples],
         designated,
@@ -98,6 +99,8 @@ def power(matrix: Nmatrix, n: int, cap: Optional[int] = None) -> Nmatrix:
         name=label,
         saturated=matrix.saturated,
     )
+    result.power_of = (matrix, n)
+    return result
 
 
 def strict_product(m1: Nmatrix, m2: Nmatrix, cap: Optional[int] = None) -> Nmatrix:
@@ -105,7 +108,8 @@ def strict_product(m1: Nmatrix, m2: Nmatrix, cap: Optional[int] = None) -> Nmatr
 
     Values are the pairs agreeing on designation; a connective from either
     side constrains its own coordinate and leaves the other free within the
-    value set.
+    value set.  The result records (m1, m2, decode) as its `factors`, where
+    decode maps each value name to its pair.
     """
     if not m1.signature.disjoint_from(m2.signature):
         raise MatrixError("strict product needs disjoint signatures")
@@ -141,7 +145,7 @@ def strict_product(m1: Nmatrix, m2: Nmatrix, cap: Optional[int] = None) -> Nmatr
     label = ""
     if m1.name and m2.name:
         label = f"{m1.name}*{m2.name}"
-    return Nmatrix(
+    result = Nmatrix(
         m1.signature.union(m2.signature),
         [name_of[p] for p in pairs],
         designated,
@@ -149,6 +153,8 @@ def strict_product(m1: Nmatrix, m2: Nmatrix, cap: Optional[int] = None) -> Nmatr
         name=label,
         saturated=m1.saturated and m2.saturated,
     )
+    result.factors = (m1, m2, {name: p for p, name in name_of.items()})
+    return result
 
 
 def translate_matrix(matrix: Nmatrix, t: Translation) -> Nmatrix:

@@ -10,11 +10,29 @@ countermodel found there is a genuine countermodel.
 Value ids are opaque strings.  Products and powers (see matrixops) name
 their values by the printed tuples, so countermodels round-trip through
 report files unchanged.
+
+On a strict product L x R built by matrixops, entails stays the search over
+product values, in the same order, but it may stop early with a split Holds
+certificate (Marcelino & Caleiro's disjoint fibring of Nmatrices).  A
+product valuation is a pair of side valuations agreeing on designation, and
+side s reads only its own connectives' cells.  Write the side as B_s^k (k = 1
+for an unpowered side) and let R_s be the domain's sigma_s-headed formulas
+plus their arguments.  Every B_s valuation of R_s (sigma_s heads inside
+B_s's cells, other members free) gives the set of R_s formulas it
+designates.  A side-s valuation designates the intersection of the sets of
+its k coordinates, so side s can realize exactly the intersections of up to
+k sets, and those that hold the premises come from sets that each hold
+them.  Formulas outside R_s are free for side s.  So the sequent fails iff
+some such left set and right set, both without the conclusion, agree on
+R_left & R_right.  This is exact for any finite Nmatrix base; entails
+consults it once, at the search's first dead end, so the countermodel it
+prints is still the first one of the search order.
 """
 
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -68,6 +86,11 @@ class Nmatrix:
     non-empty tuple of output values, kept in value order.  `saturated` is a
     knowledge flag used when assembling combined semantics: matrices known
     saturated may be used at power 1.
+
+    `factors` and `power_of` are set by matrixops on the matrices it builds:
+    a strict product records (left, right, decode), decode taking each value
+    name to its (left, right) pair, and a power records (base, n).  Any other
+    matrix, including one derived from a product or power, has neither.
     """
 
     def __init__(
@@ -114,6 +137,8 @@ class Nmatrix:
                 raise MatrixError(f"interpretation of {conn!r} lists cells outside the value set")
             table[conn] = fixed
         self.interp = table
+        self.factors: Optional[tuple[Nmatrix, Nmatrix, dict[str, tuple[str, str]]]] = None
+        self.power_of: Optional[tuple[Nmatrix, int]] = None
 
     @property
     def undesignated(self) -> frozenset[str]:
@@ -224,49 +249,132 @@ def _search(
     must_designate: Iterable[Formula],
     must_undesignate: Iterable[Formula],
     extra_check=None,
+    first: bool = False,
+    give_up=None,
 ) -> Iterator[dict[Formula, str]]:
     """All assignments on the domain respecting cells and the designation
     constraints, in canonical DFS order.  extra_check(phi, partial) may veto
-    a branch right after phi is assigned."""
+    a branch right after phi is assigned.
+
+    ``first`` is for callers that want only existence or the first
+    solution.  On a strict product it skips a candidate equivalent to one
+    already tried at the same node: same designation, the same left value
+    if a left-signature formula of the domain reads the formula, and the
+    same right value if a right-signature formula reads it.  Equivalent
+    candidates have identical subtrees, so the first solution is unchanged,
+    but later solutions are dropped; an extra_check on a product may then
+    read designation only.  ``give_up()`` is called once, at the walk's
+    first dead end; when it returns True the search ends there.
+    """
     des = set(must_designate)
     undes = set(must_undesignate)
     order = _assignment_order(domain, favored=canon_sort(des | undes))
-    allowed_base: dict[Formula, Optional[Cell]] = {}
+    undesignated = matrix.undesignated
+    pools: list[Optional[frozenset[str]]] = []
     for phi in order:
-        pool: Optional[Cell] = None
         if phi in des and phi in undes:
             return
-        if phi in des:
-            pool = tuple(v for v in matrix.values if v in matrix.designated)
-        elif phi in undes:
-            pool = tuple(v for v in matrix.values if v not in matrix.designated)
-        allowed_base[phi] = pool
+        pools.append(matrix.designated if phi in des else undesignated if phi in undes else None)
+    keys = _pruning_keys(matrix, domain, order) if first else [None] * len(order)
 
     assignment: dict[Formula, str] = {}
+    interp, values = matrix.interp, matrix.values
 
-    def choices(phi: Formula) -> Cell:
-        if isinstance(phi, App):
-            args = tuple(assignment[a] for a in phi.args)
-            cell = matrix.cell(phi.head, args)
-        else:
-            cell = matrix.values
-        pool = allowed_base[phi]
-        if pool is None:
-            return cell
-        return tuple(v for v in cell if v in pool)
-
-    def walk(i: int) -> Iterator[dict[Formula, str]]:
-        if i == len(order):
-            yield dict(assignment)
-            return
+    def choices(i: int) -> Sequence[str]:
         phi = order[i]
-        for v in choices(phi):
-            assignment[phi] = v
-            if extra_check is None or extra_check(phi, assignment):
-                yield from walk(i + 1)
-            del assignment[phi]
+        if isinstance(phi, App):
+            cell = interp[phi.head][tuple([assignment[a] for a in phi.args])]
+        else:
+            cell = values
+        pool = pools[i]
+        if pool is not None:
+            cell = [v for v in cell if v in pool]
+        return cell if keys[i] is None else _first_per_class(cell, keys[i])
 
-    yield from walk(0)
+    def take(i: int, v: str) -> bool:
+        phi = order[i]
+        assignment[phi] = v
+        return extra_check is None or extra_check(phi, assignment)
+
+    for _ in _walk(len(order), choices, take, give_up):
+        yield dict(assignment)
+
+
+def _walk(n: int, choices, take, give_up=None) -> Iterator[None]:
+    """Depth-first search over levels 0..n-1, as one loop over a level index
+    and a candidate list per level (no recursion).  choices(i) lists level
+    i's candidates once levels below i are taken; take(i, v) takes candidate
+    v and returns False to cut the branch.  Yields once per complete branch.
+    Entries of levels above i may be stale when take(i, v) runs.
+    give_up() is called once, at the first dead end (a level out of
+    candidates, the first level aside); True ends the walk there."""
+    if n == 0:
+        yield
+        return
+    candidates = [choices(0)] + [()] * (n - 1)
+    tried = [0] * n
+    i = 0
+    while True:
+        j = tried[i]
+        if j == len(candidates[i]):
+            if i == 0:
+                return
+            if give_up is not None:
+                if give_up():
+                    return
+                give_up = None
+            i -= 1
+            continue
+        tried[i] = j + 1
+        if not take(i, candidates[i][j]):
+            continue
+        if i + 1 == n:
+            yield
+            continue
+        i += 1
+        candidates[i] = choices(i)
+        tried[i] = 0
+
+
+def _first_per_class(cell: Sequence[str], cls: Mapping[str, object]) -> list[str]:
+    """The values of the cell, in order, whose class cls[v] no earlier one has."""
+    seen: set = set()
+    out = []
+    for v in cell:
+        c = cls[v]
+        if c not in seen:
+            seen.add(c)
+            out.append(v)
+    return out
+
+
+def _pruning_keys(matrix: Nmatrix, domain: Sequence[Formula], order: Sequence[Formula]) -> list:
+    """Per formula of the order, the map from each value to the class of
+    candidates with identical subtrees (see _search), or None where every
+    value is its own class or the matrix is no recorded strict product."""
+    if matrix.factors is None:
+        return [None] * len(order)
+    left, _, decode = matrix.factors
+    left_names = set(left.signature.names())
+    readers: dict[Formula, int] = {}
+    for psi in domain:
+        if isinstance(psi, App):
+            side = 1 if psi.head in left_names else 2
+            for a in psi.args:
+                readers[a] = readers.get(a, 0) | side
+    classes = _CLASSES.get(matrix)
+    if classes is None:
+        des = matrix.designated
+        classes = _CLASSES[matrix] = {
+            0: {v: v in des for v in matrix.values},
+            1: {v: (v in des, decode[v][0]) for v in matrix.values},
+            2: {v: (v in des, decode[v][1]) for v in matrix.values},
+        }
+    return [classes.get(readers.get(phi, 0)) for phi in order]
+
+
+# per recorded product: readers (0 none, 1 left, 2 right) -> value -> class
+_CLASSES: "weakref.WeakKeyDictionary[Nmatrix, dict]" = weakref.WeakKeyDictionary()
 
 
 def enumerate_partial_valuations(matrix: Nmatrix, gamma: Iterable[Formula]) -> Iterator[PartialValuation]:
@@ -305,9 +413,71 @@ def entails(matrix: Nmatrix, premises: Iterable[Formula], conclusion: Formula) -
     premises = canon_sort(premises)
     matrix.check_formulas(premises + [conclusion])
     domain = subformula_closure(premises + [conclusion])
-    for assignment in _search(matrix, domain, premises, [conclusion]):
+    search = _search(
+        matrix, domain, premises, [conclusion], first=True,
+        give_up=lambda: _split_holds(matrix, domain, premises, conclusion),
+    )
+    for assignment in search:
         return Fails(PartialValuation.of(matrix, assignment))
     return Holds()
+
+
+def _split_holds(matrix: Nmatrix, domain: Sequence[Formula], premises: Sequence[Formula], conclusion: Formula) -> bool:
+    """The split Holds certificate (see the module docstring): True iff the
+    matrix is a recorded strict product and no valuation of the domain
+    designates every premise and undesignates the conclusion."""
+    if matrix.factors is None:
+        return False
+    if conclusion in premises:
+        return True
+    left, right, _ = matrix.factors
+    regions = []
+    for factor in (left, right):
+        names = set(factor.signature.names())
+        heads = [phi for phi in domain if isinstance(phi, App) and phi.head in names]
+        regions.append((factor, names, canon_sort(heads + [a for phi in heads for a in phi.args])))
+    shared = canon_sort(set(regions[0][2]) & set(regions[1][2]))
+    patterns = []
+    for factor, names, region in regions:
+        base, k = factor.power_of or (factor, 1)
+        bit = {phi: 1 << i for i, phi in enumerate(region)}
+        need = sum(bit[phi] for phi in premises if phi in bit)
+        sets = {s for s in _designation_sets(base, names, region) if s & need == need}
+        single, frontier = set(sets), set(sets)
+        for _ in range(k - 1):
+            frontier = {a & b for a in frontier for b in single} - sets
+            sets |= frontier
+        banned = bit.get(conclusion, 0)
+        on_shared = [(bit[phi], 1 << j) for j, phi in enumerate(shared)]
+        patterns.append({sum(out for b, out in on_shared if s & b) for s in sets if not s & banned})
+    return not patterns[0] & patterns[1]
+
+
+def _designation_sets(base: Nmatrix, names: set, region: Sequence[Formula]) -> set[int]:
+    """The sets of region formulas (bit i for region[i]) designated by the
+    base valuations of the region: formulas headed by a connective in names
+    stay inside the base's cells, every other member is free.  The region
+    lists each such formula's arguments before it."""
+    read = {a for phi in region if isinstance(phi, App) and phi.head in names for a in phi.args}
+    by_designation = {v: v in base.designated for v in base.values}
+    value: dict[Formula, str] = {}
+    masks = [0] * (len(region) + 1)
+
+    def choices(i: int) -> Sequence[str]:
+        phi = region[i]
+        if isinstance(phi, App) and phi.head in names:
+            cell = base.interp[phi.head][tuple([value[a] for a in phi.args])]
+        else:
+            cell = base.values
+        # read by no cell of the region, only its designation matters
+        return cell if phi in read else _first_per_class(cell, by_designation)
+
+    def take(i: int, v: str) -> bool:
+        value[region[i]] = v
+        masks[i + 1] = masks[i] | (1 << i) if by_designation[v] else masks[i]
+        return True
+
+    return {masks[-1] for _ in _walk(len(region), choices, take)}
 
 
 def logically_equivalent(matrix: Nmatrix, gamma: Iterable[Formula], delta: Iterable[Formula]) -> bool:
@@ -403,7 +573,7 @@ def filter_valuations_by_rules(
                 return False
         return True
 
-    for assignment in _search(matrix, domain, premises, [conclusion], extra_check=check):
+    for assignment in _search(matrix, domain, premises, [conclusion], extra_check=check, first=True):
         v = PartialValuation.of(matrix, assignment)
         return FilteredVerdict(Fails(v), "exact" if exact else "heuristic")
     return FilteredVerdict(Holds(), "exact" if exact else "heuristic")
@@ -451,7 +621,7 @@ def bounded_saturation_check(
                 if any(bool(entails(matrix, gamma, f)) for f in delta):
                     continue
                 domain = subformula_closure(gamma + list(delta))
-                joint = next(iter(_search(matrix, domain, gamma, delta)), None)
+                joint = next(iter(_search(matrix, domain, gamma, delta, first=True)), None)
                 if joint is None:
                     return SaturationCounterexample(tuple(gamma), tuple(delta))
     return NoCounterexampleFound()

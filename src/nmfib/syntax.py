@@ -15,7 +15,7 @@ and hash by identity.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "app",
     "interned_instance",
     "text",
-    "is_var",
     "depth",
     "size",
     "subformulas",
@@ -49,7 +48,6 @@ __all__ = [
     "apply_translation",
     "params",
     "skeleton_var",
-    "is_skeleton_var",
     "skeleton",
     "fresh_var",
 ]
@@ -117,6 +115,8 @@ class Signature:
 @dataclass(frozen=True, eq=False)
 class Var:
     name: str
+    # canon_key, filled in on first use
+    _key: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def __str__(self) -> str:
         return self.name
@@ -126,6 +126,7 @@ class Var:
 class App:
     head: str
     args: tuple["Formula", ...]
+    _key: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def __str__(self) -> str:
         return text(self)
@@ -157,16 +158,8 @@ def app(head: str, args: Sequence[Formula] = ()) -> App:
     return a  # type: ignore[return-value]
 
 
-def is_var(phi: Formula) -> bool:
-    return isinstance(phi, Var)
-
-
 def text(phi: Formula) -> str:
-    if isinstance(phi, Var):
-        return phi.name
-    if not phi.args:
-        return phi.head
-    return f"{phi.head}({','.join(text(a) for a in phi.args)})"
+    return canon_key(phi)[1]
 
 
 def depth(phi: Formula) -> int:
@@ -176,14 +169,37 @@ def depth(phi: Formula) -> int:
 
 
 def size(phi: Formula) -> int:
-    if isinstance(phi, Var):
-        return 1
-    return 1 + sum(size(a) for a in phi.args)
+    return canon_key(phi)[0]
 
 
 def canon_key(phi: Formula) -> tuple:
-    """Sort key giving the canonical (reproducible) order on formulas."""
-    return (size(phi), text(phi), isinstance(phi, App))
+    """Sort key giving the canonical (reproducible) order on formulas:
+    (size, text, is-App).
+
+    Each formula's key is computed once, from its arguments' keys, and kept
+    on the formula; the walk uses an explicit stack, so no depth of nesting
+    exhausts the interpreter stack."""
+    key = phi._key
+    if key is not None:
+        return key
+    stack = [phi]
+    while stack:
+        psi = stack[-1]
+        if isinstance(psi, Var):
+            object.__setattr__(psi, "_key", (1, psi.name, False))
+            stack.pop()
+            continue
+        missing = [a for a in psi.args if a._key is None]
+        if missing:
+            stack.extend(missing)
+            continue
+        stack.pop()
+        if psi._key is not None:
+            continue
+        keys = [a._key for a in psi.args]
+        label = f"{psi.head}({','.join(k[1] for k in keys)})" if keys else psi.head
+        object.__setattr__(psi, "_key", (1 + sum(k[0] for k in keys), label, True))
+    return phi._key
 
 
 def canon_sort(phis: Iterable[Formula]) -> list[Formula]:
@@ -428,10 +444,6 @@ _SKEL_PREFIX = "x@"
 def skeleton_var(phi: Formula) -> Var:
     """The canonical monolith variable x_phi for an alien-headed compound."""
     return var(_SKEL_PREFIX + text(phi))
-
-
-def is_skeleton_var(phi: Formula) -> bool:
-    return isinstance(phi, Var) and phi.name.startswith(_SKEL_PREFIX)
 
 
 def skeleton(phi: Formula, sig: Signature) -> Formula:

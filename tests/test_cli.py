@@ -1,9 +1,10 @@
+import itertools
 import json
 from pathlib import Path
 
 import pytest
 
-from nmfib.cli import main
+from nmfib.cli import _parser, main
 
 SYSTEMS = Path(__file__).resolve().parents[1] / "src" / "nmfib" / "systems"
 
@@ -35,6 +36,23 @@ def test_entail_holds(capsys):
         capsys, "entail", "--system", "two_valued_or.json", "--premises", "p", "--conclusion", "or(p,q)"
     )
     assert code == 0 and out.strip() == "HOLDS"
+
+
+def test_repeated_main_calls_share_no_state(capsys):
+    # main reuses one parser; an --premises list from one call must not
+    # reach the next, whatever the subcommand
+    entail = ("entail", "--system", "two_valued_or.json", "--premises", "p", "--conclusion", "or(p,q)")
+    derive = ("derive", "--calculus", "B_or.json", "--premises", "q", "--goal", "or(p,q)", "--universe-depth", "1")
+    bare = ("entail", "--system", "two_valued_or.json", "--conclusion", "or(p,q)")
+    alone = {}
+    for argv in (entail, derive, bare):
+        _parser.cache_clear()
+        alone[argv] = run(capsys, *argv)
+    assert alone[entail][1] == "HOLDS\n" and alone[bare][1].startswith("FAILS\n")
+    for first, second in itertools.permutations(alone, 2):
+        _parser.cache_clear()
+        assert run(capsys, *first) == alone[first]
+        assert run(capsys, *second) == alone[second]
 
 
 def test_classify_line(capsys):
@@ -268,6 +286,46 @@ NEG_SIGNATURE = [{"name": "neg", "arity": 1}]
             {"signature": NEG_SIGNATURE, "values": ["0", "1"], "designated": ["1"], "interpretation": [5]},
             "the 'interpretation' of bad.json is not an object: [5]",
         ),
+        (
+            "calculus",
+            {"signature": NEG_SIGNATURE, "rules": [{"name": "n1", "premises": [5], "conclusion": "p"}]},
+            "an item of the 'premises' of rule 'n1' is not a string: 5",
+        ),
+        (
+            "translation",
+            {"source": [{"name": "coimp", "arity": 2}], "mapping": {"coimp": 5}},
+            "the 'mapping' entry 'coimp' of bad.json is not a string: 5",
+        ),
+        (
+            "system",
+            {"signature": NEG_SIGNATURE, "values": [0, 1], "designated": ["1"], "interpretation": {}},
+            "an item of the 'values' of bad.json is not a string: 0",
+        ),
+        (
+            "system",
+            {"signature": NEG_SIGNATURE, "values": ["0", "1"], "designated": [1], "interpretation": {}},
+            "an item of the 'designated' of bad.json is not a string: 1",
+        ),
+        (
+            "system",
+            {
+                "signature": NEG_SIGNATURE,
+                "values": ["0", "1"],
+                "designated": ["1"],
+                "interpretation": {"neg": [{"args": [0], "out": ["1"]}]},
+            },
+            "an item of the 'args' of an interpretation row of 'neg' is not a string: 0",
+        ),
+        (
+            "system",
+            {
+                "signature": NEG_SIGNATURE,
+                "values": ["0", "1"],
+                "designated": ["1"],
+                "interpretation": {"neg": [{"args": ["0"], "out": [1]}]},
+            },
+            "an item of the 'out' of an interpretation row of 'neg' is not a string: 1",
+        ),
     ],
 )
 def test_malformed_entry_is_named(tmp_path, monkeypatch, capsys, kind, data, message):
@@ -277,6 +335,7 @@ def test_malformed_entry_is_named(tmp_path, monkeypatch, capsys, kind, data, mes
         "system": ("entail", "--system", "bad.json", "--conclusion", "neg(p)"),
         "calculus": ("derive", "--calculus", "bad.json", "--goal", "neg(p)"),
         "fragment": ("decide-recovery", "bad.json", "bot.json"),
+        "translation": ("translate", "negimp.json", "bad.json"),
     }[kind]
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (1, "", f"error: {message}\n")

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from nmfib.boolfun import BooleanFunction, FragmentSpec, standard_fragment, standard_function
-from nmfib.fibring import three_valued_negation_matrix
+from nmfib.fibring import three_valued_negation_matrix, truth_preserving_bot_matrix
 from nmfib.matrixops import (
     CompatibilityError,
     SizeCapExceeded,
@@ -83,6 +83,22 @@ def test_strict_product_examples():
     m3 = strict_product(three_valued_negation_matrix("neg"), two_valued_matrix(standard_fragment("bot")))
     assert set(m3.values) == {"(0,0)", "(1/2,0)", "(1,1)"}
     assert set(m3.cell("bot", ())) == {"(0,0)", "(1/2,0)"}
+
+
+def test_products_and_powers_record_their_factors():
+    neg, sim = three_valued_negation_matrix("neg"), three_valued_negation_matrix("sim")
+    m5 = strict_product(neg, sim)
+    left, right, decode = m5.factors
+    assert (left, right, m5.power_of) == (neg, sim, None)
+    assert sorted(decode) == sorted(m5.values)
+    assert all(name == f"({a},{b})" for name, (a, b) in decode.items())
+    m2 = two_valued_matrix(standard_fragment("or"))
+    assert power(m2, 3).power_of == (m2, 3) and power(m2, 3).factors is None
+    assert power(m2, 1) is m2 and m2.power_of is None
+    # matrices derived from a product or a power record nothing
+    assert restrict_values(m5, {"(0,0)", "(1/2,1/2)", "(1,1)"}).factors is None
+    m4 = truth_preserving_bot_matrix(standard_fragment("imp"))
+    assert (m4.power_of, m4.factors) == (None, None)
 
 
 def test_strict_product_validation():

@@ -22,8 +22,8 @@ from nmfib.semantics import (
     respects_rule,
     two_valued_matrix,
 )
-from nmfib.syntax import Signature, app, parse, subformula_closure, var
-from nmfib.fibring import three_valued_negation_matrix
+from nmfib.syntax import App, Signature, app, parse, subformula_closure, var
+from nmfib.fibring import catalog_fragments, fibred_semantics, three_valued_negation_matrix
 
 OR = standard_fragment("or")
 NEG = standard_fragment("neg")
@@ -267,3 +267,35 @@ def test_system_file_round_trip():
     with pytest.raises(MatrixError):
         load_system(bad)
     load_system(bad, allow_degenerate=True)
+
+
+def _brute_force_count(matrix, domain):
+    """Assignments of matrix values to the domain that respect every cell."""
+    count = 0
+    for values in itertools.product(matrix.values, repeat=len(domain)):
+        v = dict(zip(domain, values))
+        if all(v[phi] in matrix.cell(phi.head, tuple(v[a] for a in phi.args)) for phi in domain if isinstance(phi, App)):
+            count += 1
+    return count
+
+
+@pytest.mark.parametrize(
+    "build, formulas",
+    [
+        (
+            lambda: strict_product(three_valued_negation_matrix("neg"), three_valued_negation_matrix("sim")),
+            ["neg(sim(p))", "sim(p)", "neg(q)"],
+        ),
+        (lambda: fibred_semantics(*catalog_fragments("disj_neg"), 2), ["or(p,neg(p))", "neg(q)"]),
+    ],
+    ids=["m3_neg*m3_sim", "disj_neg^2"],
+)
+def test_enumeration_on_products_lists_every_valuation(build, formulas):
+    # the first-solution pruning of the search must never reach the
+    # enumeration: on a product it would merge valuations that differ only
+    # in an unread coordinate
+    m = build()
+    assert m.factors is not None
+    domain = subformula_closure([parse(t, m.signature) for t in formulas])
+    listed = [v.assignment for v in enumerate_partial_valuations(m, domain)]
+    assert len(set(listed)) == len(listed) == _brute_force_count(m, domain)
