@@ -2,8 +2,9 @@
 
 Every subcommand produces byte-identical output for identical inputs: all
 collections are emitted in canonical order and --json output is serialized
-with sorted keys.  Exit codes: 0 for a decided run, 2 for bounded verdicts
-(Unknown, NotFoundAtBound, no witness), 1 for errors.
+with sorted keys.  Exit codes: 0 for a decided run (a classical pair given
+to witness included), 2 for bounded verdicts (Unknown, NotFoundAtBound,
+NoneFound), 1 for errors.
 """
 
 from __future__ import annotations
@@ -217,16 +218,16 @@ def cmd_derive(args) -> int:
     return 2
 
 
+def _emit_classical(args, verdict: fibring.Classical, line: str) -> None:
+    _emit(args, {"verdict": "CLASSICAL", "condition": verdict.condition, "detail": verdict.detail}, [line])
+
+
 def cmd_decide_recovery(args) -> int:
     f1 = _load_fragment(args.f1)
     f2 = _load_fragment(args.f2)
-    verdict = fibring.decide_recovery(f1, f2, n=args.power, search_depth=args.depth)
+    verdict = fibring.decide_recovery(f1, f2)
     if isinstance(verdict, fibring.Classical):
-        _emit(
-            args,
-            {"verdict": "CLASSICAL", "condition": verdict.condition, "detail": verdict.detail},
-            [f"CLASSICAL (condition {verdict.condition})"],
-        )
+        _emit_classical(args, verdict, f"CLASSICAL (condition {verdict.condition})")
         return 0
     cm = verdict.countermodel
     payload = {
@@ -251,21 +252,20 @@ def cmd_decide_recovery(args) -> int:
 def cmd_witness(args) -> int:
     f1 = _load_fragment(args.f1)
     f2 = _load_fragment(args.f2)
-    try:
-        sub = fibring.subclassical_witness(f1, f2, n=args.power, search_depth=args.depth)
-    except fibring.WitnessNotFound as exc:
-        _emit(args, {"verdict": "NO WITNESS FOUND", "detail": str(exc)}, [f"NO WITNESS FOUND ({exc})"])
-        return 2
+    verdict = fibring.decide_recovery(f1, f2)
+    if isinstance(verdict, fibring.Classical):
+        _emit_classical(args, verdict, f"NO WITNESS (CLASSICAL, condition {verdict.condition})")
+        return 0
+    cm = verdict.countermodel
     payload = {
-        "witness": str(sub.witness),
-        "power": sub.power_used,
-        "countermodel": {syntax.text(k): v for k, v in sub.countermodel.assignment},
+        "witness": str(verdict.witness),
+        "power": verdict.power_used,
+        "countermodel": {syntax.text(k): v for k, v in cm.assignment},
     }
     _emit(
         args,
         payload,
-        [f"WITNESS: {sub.witness}", f"  refuted at power {sub.power_used}"]
-        + _countermodel_lines(sub.countermodel),
+        [f"WITNESS: {verdict.witness}", f"  refuted at power {verdict.power_used}"] + _countermodel_lines(cm),
     )
     return 0
 
@@ -432,16 +432,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("decide-recovery", help="does merging recover the classical fragment?")
     sp.add_argument("f1")
     sp.add_argument("f2")
-    sp.add_argument("--power", type=int, default=2)
-    sp.add_argument("--depth", type=int, default=2)
     _add_json(sp)
     sp.set_defaults(fn=cmd_decide_recovery)
 
-    sp = sub.add_parser("witness", help="find a subclassicality witness")
+    sp = sub.add_parser("witness", help="a subclassicality witness, or the classical condition met")
     sp.add_argument("f1")
     sp.add_argument("f2")
-    sp.add_argument("--power", type=int, default=2)
-    sp.add_argument("--depth", type=int, default=2)
     _add_json(sp)
     sp.set_defaults(fn=cmd_witness)
 

@@ -15,8 +15,12 @@ merging two fragments of classical logic yields the joint classical fragment:
     (b) both sides sit inside the conjunction-with-constants clone, or
     (c) one side sits inside the bi-implication clone and the other is a
         single 0-place falsum plus top-like connectives only.
-Anything else is subclassical, and a witness sequent (classically valid,
-refuted in the product) is produced and re-verified.
+Anything else is subclassical.  Its witness sequent (classically valid,
+refuted in the product) comes from the curated families of the paper's
+proof: two copies of one very significant connective, distributivity,
+excluded middle, one or two falsums against an expressible short-list
+connective, and the non-local-tabularity phi_t family.  Each candidate is
+tried at power 2, then 3; no other search is made.
 """
 
 from __future__ import annotations
@@ -218,17 +222,15 @@ def _condition_c(side_biimp: FragmentSpec, side_bot: FragmentSpec) -> bool:
     )
 
 
-def decide_recovery(
-    f1: FragmentSpec,
-    f2: FragmentSpec,
-    n: int = 2,
-    search_depth: int = 2,
-) -> RecoveryVerdict:
+def decide_recovery(f1: FragmentSpec, f2: FragmentSpec) -> RecoveryVerdict:
     """Does merging the two classical fragments recover the joint fragment?
 
     Classical verdicts name the first matching condition in the order a, b,
     c.  Otherwise the combination is subclassical and the verdict carries a
-    re-verified witness: a classically valid sequent refuted in the product.
+    witness from the curated families: a classically valid sequent refuted
+    in the product at power 2 or 3, with its countermodel.  Every
+    subclassical pair has such a witness, so WitnessNotFound here is an
+    internal error, not a verdict.
     """
     if not f1.signature.disjoint_from(f2.signature):
         raise MatrixError("decide_recovery needs disjoint signatures")
@@ -242,25 +244,19 @@ def decide_recovery(
         return Classical("c", "first fragment affine-1-preserving, second a lone falsum plus top-likes")
     if _condition_c(f2, f1):
         return Classical("c", "second fragment affine-1-preserving, first a lone falsum plus top-likes")
-    return subclassical_witness(f1, f2, n=n, search_depth=search_depth)
+    return subclassical_witness(f1, f2)
 
 
 class WitnessNotFound(RuntimeError):
-    """No witness found within the given bounds; never a classicality claim."""
+    """No candidate of a witness family is refuted; never a classicality claim."""
 
 
 def _classically_valid(union_frag: FragmentSpec, seq: Sequent) -> bool:
     return bool(entails(two_valued_matrix(union_frag), list(seq.premises), seq.conclusion))
 
 
-def _refute_in_product(
-    f1: FragmentSpec, f2: FragmentSpec, seq: Sequent, n: int, n_cap: int
-) -> Optional[tuple[int, PartialValuation]]:
-    for level in range(n, n_cap + 1):
-        verdict = entails(fibred_semantics(f1, f2, level), list(seq.premises), seq.conclusion)
-        if isinstance(verdict, Fails):
-            return level, verdict.countermodel
-    return None
+# the powers at which a curated witness candidate is tried, in order
+_WITNESS_POWERS = (2, 3)
 
 
 def _l2_witnesses(frag: FragmentSpec, bot: Formula) -> list[Sequent]:
@@ -314,22 +310,19 @@ def _phi_t(name1: str, g1: BooleanFunction, theta: Formula, t: int) -> Formula:
     return app(name1, args)
 
 
-def _curated_sequents(f1: FragmentSpec, f2: FragmentSpec) -> list[Sequent]:
-    """Candidate witnesses in priority order; each is verified before use."""
-    out: list[Sequent] = []
+def _curated_sequents(f1: FragmentSpec, f2: FragmentSpec) -> Iterator[Sequent]:
+    """Candidate witnesses in priority order, built lazily, so a family is
+    built only once every candidate before it failed; a candidate may
+    repeat, and each is verified before use."""
     p, q, r = var("p"), var("q"), var("r")
-
-    def add(seq: Sequent) -> None:
-        if seq not in out:
-            out.append(seq)
 
     # two syntactic copies of one very significant connective
     for n1, g1 in f1.functions:
         for n2, g2 in f2.functions:
             if g1 == g2 and classify(g1).very_significant:
                 ps = [var(f"p{i}") for i in range(1, g1.arity + 1)]
-                add(Sequent.of([app(n1, ps)], app(n2, ps)))
-                add(Sequent.of([app(n2, ps)], app(n1, ps)))
+                yield Sequent.of([app(n1, ps)], app(n2, ps))
+                yield Sequent.of([app(n2, ps)], app(n1, ps))
 
     # conjunction against disjunction: distributivity
     for fa, fb in ((f1, f2), (f2, f1)):
@@ -341,7 +334,7 @@ def _curated_sequents(f1: FragmentSpec, f2: FragmentSpec) -> list[Sequent]:
                     continue
                 lhs = app(na, (p, app(nb, (q, r))))
                 rhs = app(nb, (app(na, (p, q)), app(na, (p, r))))
-                add(Sequent.of([lhs], rhs))
+                yield Sequent.of([lhs], rhs)
 
     # disjunction against negation: excluded middle
     for fa, fb in ((f1, f2), (f2, f1)):
@@ -351,19 +344,18 @@ def _curated_sequents(f1: FragmentSpec, f2: FragmentSpec) -> list[Sequent]:
             for nb, gb in fb.functions:
                 if gb != standard_function("neg"):
                     continue
-                add(Sequent.of([], app(na, (p, app(nb, (p,))))))
+                yield Sequent.of([], app(na, (p, app(nb, (p,)))))
 
     # a falsum on one side against an expressible short-list connective
     for fa, fb in ((f1, f2), (f2, f1)):
         bots = [n for n, f in fb.functions if f.arity == 0 and f.bits == 0]
         for b in bots:
-            for seq in _l2_witnesses(fa, app(b, ())):
-                add(seq)
+            yield from _l2_witnesses(fa, app(b, ()))
         # two falsums against an expressible ternary parity connective
         if len(bots) >= 2:
             expr = find_expression(fa, standard_function("xor3"))
             if expr is not None:
-                add(Sequent.of([_plug(expr, [p, app(bots[0], ()), app(bots[1], ())])], p))
+                yield Sequent.of([_plug(expr, [p, app(bots[0], ()), app(bots[1], ())])], p)
 
     # non-local-tabularity families: classically-equal members
     for fa, fb in ((f1, f2), (f2, f1)):
@@ -376,62 +368,31 @@ def _curated_sequents(f1: FragmentSpec, f2: FragmentSpec) -> list[Sequent]:
                 theta = nontop_unary_witness(nb, gb)
                 phis = [_phi_t(na, ga, theta, t) for t in range(3)]
                 for a, b in itertools.permutations(range(3), 2):
-                    add(Sequent.of([phis[a]], phis[b]))
-    return out
+                    yield Sequent.of([phis[a]], phis[b])
 
 
-def _fallback_search(
-    f1: FragmentSpec, f2: FragmentSpec, union: FragmentSpec, search_depth: int, pool_cap: int = 120
-) -> Iterator[Sequent]:
-    """Empty- and single-premise sequents over a depth-bounded formula pool,
-    in canonical order, generated lazily; the pool cap keeps it desk-scale."""
-    sig = union.signature
-    pool: list[Formula] = [var("p"), var("q")]
-    seen = set(pool)
-    for _ in range(search_depth):
-        grown = canon_sort(pool)
-        for conn, arity in sig.connectives:
-            for args in itertools.product(grown, repeat=arity):
-                phi = app(conn, args)
-                if phi not in seen:
-                    seen.add(phi)
-                    pool.append(phi)
-                if len(pool) >= pool_cap:
-                    break
-            if len(pool) >= pool_cap:
-                break
-        if len(pool) >= pool_cap:
-            break
-    pool = canon_sort(pool)
-    for concl in pool:
-        yield Sequent.of([], concl)
-    for prem in pool:
-        for concl in pool:
-            if prem != concl:
-                yield Sequent.of([prem], concl)
-
-
-def subclassical_witness(
-    f1: FragmentSpec,
-    f2: FragmentSpec,
-    n: int = 2,
-    search_depth: int = 2,
-    n_cap: int = 3,
-) -> Subclassical:
+def subclassical_witness(f1: FragmentSpec, f2: FragmentSpec) -> Subclassical:
     """A sequent valid in the joint classical fragment but refuted in the
-    product, with its countermodel; curated candidates first, bounded
-    sequent search as a fallback."""
-    union = f1.union(f2)
-    # _fallback_search builds its pool only once every curated candidate failed
-    for seq in itertools.chain(_curated_sequents(f1, f2), _fallback_search(f1, f2, union, search_depth)):
-        if not _classically_valid(union, seq):
+    product, with its countermodel: the first curated candidate that is
+    refuted at power 2, or else at power 3."""
+    classical = two_valued_matrix(f1.union(f2))
+    products: dict[int, Nmatrix] = {}  # each power is built once, on first use
+    tried: set[Sequent] = set()
+    for seq in _curated_sequents(f1, f2):
+        if seq in tried:
             continue
-        hit = _refute_in_product(f1, f2, seq, n, n_cap)
-        if hit is not None:
-            level, cm = hit
-            return Subclassical(seq, level, cm)
+        tried.add(seq)
+        premises = list(seq.premises)
+        if not entails(classical, premises, seq.conclusion):
+            continue
+        for level in _WITNESS_POWERS:
+            if level not in products:
+                products[level] = fibred_semantics(f1, f2, level)
+            verdict = entails(products[level], premises, seq.conclusion)
+            if isinstance(verdict, Fails):
+                return Subclassical(seq, level, verdict.countermodel)
     raise WitnessNotFound(
-        f"no witness found up to power {n_cap} and depth {search_depth}"
+        f"no curated witness candidate is refuted at power {' or '.join(map(str, _WITNESS_POWERS))}"
     )
 
 

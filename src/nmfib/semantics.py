@@ -154,12 +154,12 @@ class Nmatrix:
         return len(self.designated) == 1
 
     def check_formulas(self, phis: Iterable[Formula]) -> None:
-        from .syntax import check_well_formed
+        from .syntax import SignatureError, check_well_formed
 
         for phi in phis:
             try:
                 check_well_formed(phi, self.signature)
-            except Exception as exc:
+            except SignatureError as exc:
                 raise MatrixError(str(exc)) from exc
 
     def __repr__(self) -> str:
@@ -225,21 +225,27 @@ def _assignment_order(
     emitted: list[Formula] = []
     seen: set[Formula] = set()
 
-    def emit(phi: Formula) -> None:
-        if phi in seen:
-            return
+    def below(phi: Formula) -> Iterator[Formula]:
         if isinstance(phi, App):
-            for a in sorted(phi.args, key=canon_key):
-                if a in domain_set:
-                    emit(a)
-        seen.add(phi)
-        emitted.append(phi)
+            return (a for a in sorted(phi.args, key=canon_key) if a in domain_set)
+        return iter(())
 
-    for phi in favored:
-        if phi in domain_set:
-            emit(phi)
-    for phi in canon_sort(domain):
-        emit(phi)
+    # post-order walk with an explicit stack of (formula, its pending
+    # arguments): each formula is emitted right after its last argument
+    for root in itertools.chain((phi for phi in favored if phi in domain_set), canon_sort(domain)):
+        if root in seen:
+            continue
+        stack = [(root, below(root))]
+        while stack:
+            phi, pending = stack[-1]
+            for a in pending:
+                if a not in seen:
+                    stack.append((a, below(a)))
+                    break
+            else:
+                stack.pop()
+                seen.add(phi)
+                emitted.append(phi)
     return emitted
 
 

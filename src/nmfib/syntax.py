@@ -208,17 +208,15 @@ def canon_sort(phis: Iterable[Formula]) -> list[Formula]:
 
 def subformulas(phi: Formula) -> list[Formula]:
     """All subformulas of phi, including phi itself, in canonical order."""
-    out: set[Formula] = set()
-
-    def walk(psi: Formula) -> None:
-        if psi in out:
-            return
-        out.add(psi)
+    out: set[Formula] = {phi}
+    stack = [phi]
+    while stack:
+        psi = stack.pop()
         if isinstance(psi, App):
             for a in psi.args:
-                walk(a)
-
-    walk(phi)
+                if a not in out:
+                    out.add(a)
+                    stack.append(a)
     return canon_sort(out)
 
 
@@ -239,15 +237,21 @@ def is_subformula_closed(phis: Iterable[Formula]) -> bool:
 
 
 def check_well_formed(phi: Formula, sig: Signature) -> None:
-    if isinstance(phi, Var):
-        return
-    k = sig.arity(phi.head)
-    if k is None:
-        raise SignatureError(f"connective {phi.head!r} not in signature")
-    if k != len(phi.args):
-        raise SignatureError(f"connective {phi.head!r} has arity {k}, got {len(phi.args)} arguments")
-    for a in phi.args:
-        check_well_formed(a, sig)
+    arities = dict(sig.connectives)
+    # each distinct subformula is checked once, however often it is shared
+    seen: set[Formula] = set()
+    stack = [phi]
+    while stack:
+        psi = stack.pop()
+        if isinstance(psi, Var) or psi in seen:
+            continue
+        seen.add(psi)
+        k = arities.get(psi.head)
+        if k is None:
+            raise SignatureError(f"connective {psi.head!r} not in signature")
+        if k != len(psi.args):
+            raise SignatureError(f"connective {psi.head!r} has arity {k}, got {len(psi.args)} arguments")
+        stack.extend(reversed(psi.args))
 
 
 def fresh_var(taken: Iterable[Formula], stem: str = "w") -> Var:

@@ -1,5 +1,6 @@
 import itertools
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -73,6 +74,28 @@ def test_decide_recovery_subclassical(capsys):
     lines = out.splitlines()
     assert lines[0] == "SUBCLASSICAL"
     assert any("witness" in l for l in lines)
+
+
+def test_witness_on_a_classical_pair(capsys):
+    # witness decides through decide-recovery: a classical pair has no
+    # witness, and the reply names the condition it meets
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "witness", "and.json", "and2.json")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (0, "NO WITNESS (CLASSICAL, condition b)\n")
+    code, out, _ = run(capsys, "witness", "and.json", "and2.json", "--json")
+    assert code == 0
+    assert out == run(capsys, "decide-recovery", "and.json", "and2.json", "--json")[1]
+    assert json.loads(out)["verdict"] == "CLASSICAL"
+
+
+@pytest.mark.parametrize("command", ["decide-recovery", "witness"])
+@pytest.mark.parametrize("option", [("--power", "4"), ("--depth", "3")])
+def test_recovery_commands_take_no_search_bounds(capsys, command, option):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "or.json", "neg.json", *option])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_derive_and_exit_codes(capsys):
@@ -166,7 +189,7 @@ def test_product_power_translate_roundtrip(tmp_path, capsys):
 
 
 def test_witness_kdet_fc_certify(capsys):
-    code, out, _ = run(capsys, "witness", "or.json", "or2.json", "--power", "2")
+    code, out, _ = run(capsys, "witness", "or.json", "or2.json")
     assert code == 0 and out.startswith("WITNESS:")
 
     code, out, _ = run(capsys, "kdet", "or.json", "or2.json", "--k", "1", "--power", "3")

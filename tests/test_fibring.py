@@ -390,21 +390,109 @@ def test_recovery_sweep_over_single_connective_pairs():
                 ), (n1, n2)
 
 
-def test_fallback_sequent_search_finds_witnesses():
-    from nmfib.fibring import _fallback_search, _classically_valid
+def _truth_rows(arity):
+    return list(itertools.product((0, 1), repeat=arity))
 
-    f_or, f_bot = standard_fragment("or"), standard_fragment("bot")
-    union = f_or.union(f_bot)
-    product = fibred_semantics(f_or, f_bot, 2)
-    hit = None
-    for seq in _fallback_search(f_or, f_bot, union, 2):
-        if not _classically_valid(union, seq):
+
+def _in_top(f):
+    # constant 1 or a projection
+    rows = _truth_rows(f.arity)
+    return all(f(*x) for x in rows) or any(all(f(*x) == x[i] for x in rows) for i in range(f.arity))
+
+
+def _in_and_top_bot(f):
+    # a constant or the conjunction of a nonempty set of arguments
+    rows = _truth_rows(f.arity)
+    if len({f(*x) for x in rows}) == 1:
+        return True
+    return any(
+        all(f(*x) == min(x[i] for i in js) for x in rows)
+        for k in range(1, f.arity + 1)
+        for js in itertools.combinations(range(f.arity), k)
+    )
+
+
+def _in_biimp(f):
+    # affine and 1-preserving: c xor the parity of some arguments, f(1..1) = 1
+    rows = _truth_rows(f.arity)
+    if not f(*(1,) * f.arity):
+        return False
+    return any(
+        all(f(*x) == (c + sum(x[i] for i in js)) % 2 for x in rows)
+        for c in (0, 1)
+        for k in range(f.arity + 1)
+        for js in itertools.combinations(range(f.arity), k)
+    )
+
+
+def _expected_condition(f1, f2):
+    """Conditions a-c read straight off the truth tables, first match wins."""
+    def inside(frag, test):
+        return all(test(f) for _, f in frag.functions)
+
+    def lone_bot_plus_top_likes(frag):
+        bots = [n for n, f in frag.functions if f.arity == 0 and f.bits == 0]
+        others = [f for n, f in frag.functions if n not in bots]
+        return len(bots) == 1 and all(all(f(*x) for x in _truth_rows(f.arity)) for f in others)
+
+    if inside(f1, _in_top) or inside(f2, _in_top):
+        return "a"
+    if inside(f1, _in_and_top_bot) and inside(f2, _in_and_top_bot):
+        return "b"
+    if any(inside(s, _in_biimp) and lone_bot_plus_top_likes(t) for s, t in ((f1, f2), (f2, f1))):
+        return "c"
+    return None
+
+
+def _recovery_coverage_pairs():
+    small = [BooleanFunction(k, b) for k in range(3) for b in range(1 << (1 << k))]
+    ternary = [BooleanFunction(3, b) for b in range(256)]
+    upto3 = small + ternary
+    rng = random.Random(2024)
+
+    def frag(stem, funcs):
+        return FragmentSpec.of({f"{stem}{i}": f for i, f in enumerate(funcs)})
+
+    pairs = [(frag("a", [f]), frag("b", [g])) for f, g in itertools.combinations_with_replacement(small, 2)]
+    pairs += [(frag("a", [rng.choice(ternary)]), frag("b", [rng.choice(upto3)])) for _ in range(60)]
+    pairs += [
+        (frag("a", rng.sample(small, rng.randint(2, 3))), frag("b", rng.sample(small, rng.randint(2, 3))))
+        for _ in range(40)
+    ]
+    # a pair whose witness is refuted only at power 3
+    pairs.append((frag("a", [BooleanFunction.from_string("00010110", 3)]), frag("b", [standard_function("or")])))
+    return pairs
+
+
+def test_curated_witness_families_cover_every_subclassical_pair():
+    # witnesses come only from the curated families at power 2 or 3, so a
+    # pair the theorem calls subclassical must never run out of candidates
+    pairs = _recovery_coverage_pairs()
+    assert len(pairs) == 253 + 60 + 40 + 1
+    powers = []
+    for f1, f2 in pairs:
+        names = (f1.functions, f2.functions)
+        verdict = decide_recovery(f1, f2)  # WitnessNotFound fails the test
+        want = _expected_condition(f1, f2)
+        if want is not None:
+            assert isinstance(verdict, Classical) and verdict.condition == want, names
             continue
-        if isinstance(entails(product, list(seq.premises), seq.conclusion), Fails):
-            hit = seq
-            break
-    assert hit is not None
-    assert "bot" in str(hit)
+        assert isinstance(verdict, Subclassical), names
+        seq = verdict.witness
+        premises = list(seq.premises)
+        assert bool(entails(two_valued_matrix(f1.union(f2)), premises, seq.conclusion)), names
+        assert isinstance(entails(fibred_semantics(f1, f2, verdict.power_used), premises, seq.conclusion), Fails), names
+        assert verdict.countermodel.check(), names
+        powers.append(verdict.power_used)
+    assert len(powers) > 200 and set(powers) == {2, 3}
+
+
+def test_classical_pairs_have_no_witness():
+    f_and, f_and2 = standard_fragment("and"), standard_fragment("and2", rename={"and2": "and"})
+    start = time.perf_counter()
+    with pytest.raises(WitnessNotFound, match="no curated witness candidate is refuted at power 2 or 3"):
+        subclassical_witness(f_and, f_and2)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_reproduce_all_catalog_entries():

@@ -106,6 +106,21 @@ def test_entails_rejects_foreign_formulas():
         entails(M_OR, [], parse("neg(p)", NEG.signature))
 
 
+def test_entails_on_deep_formulas():
+    # the well-formedness check, subformula walk and assignment order use
+    # explicit stacks, so nesting far past the interpreter's recursion limit
+    # is decided; neg is an involution, so even depth holds and odd fails
+    p = var("p")
+    chain = p
+    for _ in range(2000):
+        chain = app("neg", [chain])
+    assert isinstance(entails(M_NEG, [p], chain), Holds)
+    verdict = entails(M_NEG, [p], app("neg", [chain]))
+    assert isinstance(verdict, Fails)
+    assert verdict.countermodel.check()
+    assert len(verdict.countermodel.assignment) == 2002
+
+
 def test_logical_equivalence():
     AND = standard_fragment("and", "and2", rename={"and2": "and"})
     m = two_valued_matrix(AND)
