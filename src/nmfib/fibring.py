@@ -166,7 +166,7 @@ def truth_preserving_bot_matrix(frag: FragmentSpec, bot_name: str = "bot") -> Nm
     if bot_name in frag.signature:
         raise MatrixError(f"fragment already declares {bot_name!r}")
     squared = power(two_valued_matrix(frag), 2)
-    interp = {conn: dict(cells) for conn, cells in squared.interp.items()}
+    interp = {conn: dict(cells) for conn, cells in squared.full_interp().items()}
     interp[bot_name] = {(): ("(1,0)",)}
     return Nmatrix(
         frag.signature.union(Signature.of({bot_name: 0})),

@@ -3,16 +3,19 @@ canonical two-valued extensions, valuation merging, value purging.
 
 Power and product values are named by their printed tuples ("(a,b)"), kept in
 lexicographic order of the printed names, so constructed systems serialize
-reproducibly.
+reproducibly.  Powers and strict products build no table: each cell is computed
+from the factors on its first read and kept on the matrix (see
+semantics.Nmatrix), so entailment pays only for the cells its search reads.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .semantics import MatrixError, Nmatrix, PartialValuation
+from .semantics import Cell, MatrixError, Nmatrix, PartialValuation
 from .syntax import (
     Formula,
     Signature,
@@ -68,7 +71,8 @@ def power(matrix: Nmatrix, n: int, cap: Optional[int] = None) -> Nmatrix:
     The n-power is n-saturated and defines the same consequence relation as
     the matrix itself, which is what makes finite powers usable stand-ins
     for the idealized limit construction.  The result records (matrix, n)
-    as its `power_of`; n = 1 returns the matrix itself.
+    as its `power_of`; n = 1 returns the matrix itself.  Each cell is
+    computed from the matrix's cells on its first read, then kept.
     """
     if n < 1:
         raise MatrixError("power needs n >= 1")
@@ -77,28 +81,17 @@ def power(matrix: Nmatrix, n: int, cap: Optional[int] = None) -> Nmatrix:
     total = len(matrix.values) ** n
     if total > size_cap(cap):
         raise SizeCapExceeded(f"{total} values exceeds cap {size_cap(cap)}")
-    tuples = sorted(itertools.product(matrix.values, repeat=n), key=_tuple_name)
-    name_of = {t: _tuple_name(t) for t in tuples}
-    designated = [name_of[t] for t in tuples if all(v in matrix.designated for v in t)]
-    interp: dict[str, dict[tuple[str, ...], tuple[str, ...]]] = {}
-    for conn, arity in matrix.signature.connectives:
-        cells = {}
-        for args in itertools.product(tuples, repeat=arity):
-            per_coord = [
-                matrix.cell(conn, tuple(arg[i] for arg in args)) for i in range(n)
-            ]
-            outs = [name_of[t] for t in itertools.product(*per_coord)]
-            cells[tuple(name_of[a] for a in args)] = tuple(outs)
-        interp[conn] = cells
+    decode = {_tuple_name(t): t for t in sorted(itertools.product(matrix.values, repeat=n), key=_tuple_name)}
+
+    def cell(base: Mapping[Cell, Cell], args: Cell) -> Cell:
+        cols = [decode[a] for a in args]
+        per_coord = [base[tuple([col[i] for col in cols])] for i in range(n)]
+        return tuple(sorted(map(_tuple_name, itertools.product(*per_coord))))  # values are in name order
+
+    designated = [name for name, t in decode.items() if all(v in matrix.designated for v in t)]
+    compute = {conn: functools.partial(cell, cells) for conn, cells in matrix.interp.items()}
     label = f"{matrix.name}^{n}" if matrix.name else ""
-    result = Nmatrix(
-        matrix.signature,
-        [name_of[t] for t in tuples],
-        designated,
-        interp,
-        name=label,
-        saturated=matrix.saturated,
-    )
+    result = Nmatrix.computed(matrix.signature, list(decode), designated, compute, label, matrix.saturated)
     result.power_of = (matrix, n)
     return result
 
@@ -108,8 +101,9 @@ def strict_product(m1: Nmatrix, m2: Nmatrix, cap: Optional[int] = None) -> Nmatr
 
     Values are the pairs agreeing on designation; a connective from either
     side constrains its own coordinate and leaves the other free within the
-    value set.  The result records (m1, m2, decode) as its `factors`, where
-    decode maps each value name to its pair.
+    value set.  Each cell is computed from its side's cell on its first
+    read, then kept.  The result records (m1, m2, decode) as its `factors`,
+    where decode maps each value name to its pair.
     """
     if not m1.signature.disjoint_from(m2.signature):
         raise MatrixError("strict product needs disjoint signatures")
@@ -122,38 +116,22 @@ def strict_product(m1: Nmatrix, m2: Nmatrix, cap: Optional[int] = None) -> Nmatr
     pairs += [(a, b) for a in u1 for b in u2]
     if len(pairs) > size_cap(cap):
         raise SizeCapExceeded(f"{len(pairs)} values exceeds cap {size_cap(cap)}")
-    pairs.sort(key=_tuple_name)
-    name_of = {p: _tuple_name(p) for p in pairs}
-    by_first: dict[str, list[tuple[str, str]]] = {}
-    by_second: dict[str, list[tuple[str, str]]] = {}
-    for p in pairs:
-        by_first.setdefault(p[0], []).append(p)
-        by_second.setdefault(p[1], []).append(p)
-    designated = [name_of[p] for p in pairs if p[0] in d1]
-    interp: dict[str, dict[tuple[str, ...], tuple[str, ...]]] = {}
-    for side, matrix, pick, coord in (
-        (0, m1, by_first, 0),
-        (1, m2, by_second, 1),
-    ):
-        for conn, arity in matrix.signature.connectives:
-            cells = {}
-            for args in itertools.product(pairs, repeat=arity):
-                own = matrix.cell(conn, tuple(a[coord] for a in args))
-                outs = [name_of[p] for v in own for p in pick.get(v, ())]
-                cells[tuple(name_of[a] for a in args)] = tuple(outs)
-            interp[conn] = cells
-    label = ""
-    if m1.name and m2.name:
-        label = f"{m1.name}*{m2.name}"
-    result = Nmatrix(
-        m1.signature.union(m2.signature),
-        [name_of[p] for p in pairs],
-        designated,
-        interp,
-        name=label,
-        saturated=m1.saturated and m2.saturated,
-    )
-    result.factors = (m1, m2, {name: p for p, name in name_of.items()})
+    decode = {_tuple_name(p): p for p in sorted(pairs, key=_tuple_name)}
+
+    @functools.cache
+    def spread(coord: int, own: Cell) -> Cell:  # the values over a side's cell, in value order
+        return tuple(name for name, p in decode.items() if p[coord] in own)
+
+    def cell(base: Mapping[Cell, Cell], coord: int, args: Cell) -> Cell:
+        return spread(coord, base[tuple([decode[a][coord] for a in args])])
+
+    designated = [name for name, p in decode.items() if p[0] in d1]
+    sides = ((coord, conn, cells) for coord, m in enumerate((m1, m2)) for conn, cells in m.interp.items())
+    compute = {conn: functools.partial(cell, cells, coord) for coord, conn, cells in sides}
+    label = f"{m1.name}*{m2.name}" if m1.name and m2.name else ""
+    saturated = m1.saturated and m2.saturated
+    result = Nmatrix.computed(m1.signature.union(m2.signature), list(decode), designated, compute, label, saturated)
+    result.factors = (m1, m2, decode)
     return result
 
 
@@ -276,10 +254,10 @@ def restrict_values(matrix: Nmatrix, keep: Iterable[str]) -> Nmatrix:
 
 
 def matrices_equal(m1: Nmatrix, m2: Nmatrix) -> bool:
-    """Cell-for-cell equality (same values, designation, and interpretation)."""
+    """Cell-for-cell equality of whole tables (same values, designation, and interpretation)."""
     return (
         m1.signature == m2.signature
         and m1.values == m2.values
         and m1.designated == m2.designated
-        and m1.interp == m2.interp
+        and m1.full_interp() == m2.full_interp()
     )

@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 import weakref
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from . import bundled
 from .syntax import (
@@ -79,6 +79,17 @@ class MatrixError(ValueError):
 Cell = tuple[str, ...]
 
 
+class _Cells(dict):
+    """One connective's cells in a computed matrix, each kept from its first read."""
+
+    def __init__(self, compute: Callable[[Cell], Cell]):
+        self.compute = compute
+
+    def __missing__(self, args: Cell) -> Cell:
+        out = self[args] = self.compute(args)
+        return out
+
+
 class Nmatrix:
     """Finite Nmatrix: ordered values, designated subset, cell-complete interp.
 
@@ -91,6 +102,12 @@ class Nmatrix:
     a strict product records (left, right, decode), decode taking each value
     name to its (left, right) pair, and a power records (base, n).  Any other
     matrix, including one derived from a product or power, has neither.
+
+    The constructor checks a whole table given from outside.  Matrixops'
+    powers and products are `computed`: interp holds the cells read so far,
+    and a cell is computed on its first read.  Readers of the whole table
+    (`deterministic`, `dump_system`, `matrixops.matrices_equal`,
+    `fibring.truth_preserving_bot_matrix`) take `full_interp()`.
     """
 
     def __init__(
@@ -140,6 +157,26 @@ class Nmatrix:
         self.factors: Optional[tuple[Nmatrix, Nmatrix, dict[str, tuple[str, str]]]] = None
         self.power_of: Optional[tuple[Nmatrix, int]] = None
 
+    @classmethod
+    def computed(
+        cls, signature: Signature, values: Sequence[str], designated: Iterable[str],
+        compute: Mapping[str, Callable[[Cell], Cell]], name: str = "", saturated: bool = False,
+    ) -> "Nmatrix":
+        """The matrix whose cell (conn, args) compute[conn](args) gives on first read.  Only the values
+        are checked: compute gives cells non-empty and in value order, and KeyError outside the table."""
+        matrix = cls(Signature(()), values, designated, {}, name, saturated)  # checks the values only
+        matrix.signature = signature
+        matrix.interp = {conn: _Cells(compute[conn]) for conn in signature.names()}
+        return matrix
+
+    def full_interp(self) -> dict[str, dict[Cell, Cell]]:
+        """interp with every cell present, computing those not read yet."""
+        for conn, arity in self.signature.connectives:
+            if len(cells := self.interp[conn]) < len(self.values) ** arity:
+                for args in itertools.product(self.values, repeat=arity):
+                    cells[args]  # computed on first read
+        return self.interp
+
     @property
     def undesignated(self) -> frozenset[str]:
         return frozenset(self.values) - self.designated
@@ -148,7 +185,7 @@ class Nmatrix:
         return self.interp[conn][tuple(args)]
 
     def deterministic(self) -> bool:
-        return all(len(out) == 1 for cells in self.interp.values() for out in cells.values())
+        return all(len(out) == 1 for cells in self.full_interp().values() for out in cells.values())
 
     def unitary(self) -> bool:
         return len(self.designated) == 1
@@ -667,7 +704,7 @@ def dump_system(matrix: Nmatrix) -> dict:
                 {"args": list(args), "out": list(outs)}
                 for args, outs in sorted(cells.items())
             ]
-            for conn, cells in sorted(matrix.interp.items())
+            for conn, cells in sorted(matrix.full_interp().items())
         },
     }
     if matrix.name:

@@ -73,6 +73,10 @@ class Signature:
     """A ranked alphabet: finitely many named connectives, each with an arity."""
 
     connectives: tuple[tuple[str, int], ...]
+    _arities: dict[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_arities", dict(self.connectives))
 
     @staticmethod
     def of(items: Union[Mapping[str, int], Iterable[tuple[str, int]]]) -> "Signature":
@@ -89,16 +93,16 @@ class Signature:
         return Signature(tuple(sorted(seen.items())))
 
     def arity(self, name: str) -> Optional[int]:
-        return dict(self.connectives).get(name)
+        return self._arities.get(name)
 
     def __contains__(self, name: str) -> bool:
-        return self.arity(name) is not None
+        return name in self._arities
 
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.connectives)
 
     def union(self, other: "Signature") -> "Signature":
-        mine = dict(self.connectives)
+        mine = dict(self._arities)
         for name, arity in other.connectives:
             if name in mine and mine[name] != arity:
                 raise SignatureError(f"arity clash on {name!r}: {mine[name]} vs {arity}")
@@ -109,7 +113,7 @@ class Signature:
         return not set(self.names()) & set(other.names())
 
     def __le__(self, other: "Signature") -> bool:
-        return all(other.arity(n) == k for n, k in self.connectives)
+        return self._arities.items() <= other._arities.items()
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,7 +241,7 @@ def is_subformula_closed(phis: Iterable[Formula]) -> bool:
 
 
 def check_well_formed(phi: Formula, sig: Signature) -> None:
-    arities = dict(sig.connectives)
+    arities = sig._arities
     # each distinct subformula is checked once, however often it is shared
     seen: set[Formula] = set()
     stack = [phi]

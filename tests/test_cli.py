@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from nmfib.cli import _parser, main
+from nmfib.cli import _load_translation, _parser, main
 
 SYSTEMS = Path(__file__).resolve().parents[1] / "src" / "nmfib" / "systems"
 
@@ -160,17 +160,37 @@ def test_byte_determinism(capsys):
         json.loads(outs[0])
 
 
+def _system_file_text(matrix) -> str:
+    from nmfib.semantics import dump_system
+
+    return json.dumps(dump_system(matrix), sort_keys=True, indent=2) + "\n"
+
+
 def test_product_power_translate_roundtrip(tmp_path, capsys):
+    from test_matrixops import reference_power, reference_strict_product
+
+    from nmfib.matrixops import translate_matrix
+    from nmfib.semantics import load_system
+
+    def system(name):
+        return load_system(json.loads((SYSTEMS / name).read_text()))
+
     out_file = tmp_path / "prod.json"
     code, _, _ = run(capsys, "product", "m3_neg.json", "m3_sim.json", "-o", str(out_file))
     assert code == 0
     data = json.loads(out_file.read_text())
     assert len(data["values"]) == 5
+    reference = reference_strict_product(system("m3_neg.json"), system("m3_sim.json"))
+    assert out_file.read_text() == _system_file_text(reference)
 
     code, out, _ = run(capsys, "power", "two_valued_or.json", "-n", "2")
     assert code == 0
     data = json.loads(out)
     assert len(data["values"]) == 4
+    for n in (2, 3):
+        code, _, _ = run(capsys, "power", "two_valued_or.json", "-n", str(n), "-o", str(out_file))
+        assert code == 0
+        assert out_file.read_text() == _system_file_text(reference_power(system("two_valued_or.json"), n))
 
     code, out, _ = run(capsys, "translate", "two_valued_or.json", "coimp_translation.json")
     assert code == 1  # the or-matrix lacks neg/imp needed by the translation
@@ -186,6 +206,17 @@ def test_product_power_translate_roundtrip(tmp_path, capsys):
     data = json.loads(out)
     rows = {tuple(r["args"]): tuple(r["out"]) for r in data["interpretation"]["coimp"]}
     assert rows[("0", "1")] == ("1",) and rows[("1", "1")] == ("0",)
+
+    # translating a written power file
+    power_file = tmp_path / "negimp2.json"
+    code, _, _ = run(capsys, "power", str(src), "-n", "2", "-o", str(power_file))
+    assert code == 0
+    negimp2 = reference_power(load_system(json.loads(src.read_text())), 2)
+    assert power_file.read_text() == _system_file_text(negimp2)
+    code, _, _ = run(capsys, "translate", str(power_file), "coimp_translation.json", "-o", str(out_file))
+    assert code == 0
+    t = _load_translation("coimp_translation.json", negimp2.signature)
+    assert out_file.read_text() == _system_file_text(translate_matrix(negimp2, t))
 
 
 def test_witness_kdet_fc_certify(capsys):

@@ -1,10 +1,17 @@
 import itertools
 import random
+import time
 
 import pytest
 
 from nmfib.boolfun import BooleanFunction, FragmentSpec, standard_fragment, standard_function
-from nmfib.fibring import three_valued_negation_matrix, truth_preserving_bot_matrix
+from nmfib.fibring import (
+    CATALOG_IDS,
+    catalog_fragments,
+    fibred_semantics,
+    three_valued_negation_matrix,
+    truth_preserving_bot_matrix,
+)
 from nmfib.matrixops import (
     CompatibilityError,
     SizeCapExceeded,
@@ -18,7 +25,9 @@ from nmfib.matrixops import (
 )
 from nmfib.semantics import (
     Fails,
+    Holds,
     MatrixError,
+    Nmatrix,
     PartialValuation,
     entails,
     enumerate_partial_valuations,
@@ -303,3 +312,173 @@ def test_restrict_values():
     m3 = three_valued_negation_matrix("neg")
     with pytest.raises(MatrixError):
         restrict_values(m3, {"1/2", "1"})  # neg(1) = {0} empties out
+
+
+# ---------------------------------------------------------------------------
+# Reference constructions
+#
+# reference_power and reference_strict_product are power and strict_product
+# as they stood when both filled their whole table up front: a loop over
+# every argument tuple, each table checked again by Nmatrix.  The computed
+# matrices must match them in values, designation and every cell.
+# ---------------------------------------------------------------------------
+
+
+def _tuple_name(parts) -> str:
+    return "(" + ",".join(parts) + ")"
+
+
+def reference_power(matrix: Nmatrix, n: int) -> Nmatrix:
+    if n == 1:
+        return matrix
+    tuples = sorted(itertools.product(matrix.values, repeat=n), key=_tuple_name)
+    name_of = {t: _tuple_name(t) for t in tuples}
+    designated = [name_of[t] for t in tuples if all(v in matrix.designated for v in t)]
+    interp = {}
+    for conn, arity in matrix.signature.connectives:
+        cells = {}
+        for args in itertools.product(tuples, repeat=arity):
+            per_coord = [matrix.cell(conn, tuple(arg[i] for arg in args)) for i in range(n)]
+            outs = [name_of[t] for t in itertools.product(*per_coord)]
+            cells[tuple(name_of[a] for a in args)] = tuple(outs)
+        interp[conn] = cells
+    label = f"{matrix.name}^{n}" if matrix.name else ""
+    return Nmatrix(matrix.signature, [name_of[t] for t in tuples], designated, interp, name=label,
+                   saturated=matrix.saturated)
+
+
+def reference_strict_product(m1: Nmatrix, m2: Nmatrix) -> Nmatrix:
+    d1, d2 = m1.designated, m2.designated
+    u1 = [v for v in m1.values if v not in d1]
+    u2 = [v for v in m2.values if v not in d2]
+    pairs = [(a, b) for a in m1.values if a in d1 for b in m2.values if b in d2]
+    pairs += [(a, b) for a in u1 for b in u2]
+    pairs.sort(key=_tuple_name)
+    name_of = {p: _tuple_name(p) for p in pairs}
+    by_first, by_second = {}, {}
+    for p in pairs:
+        by_first.setdefault(p[0], []).append(p)
+        by_second.setdefault(p[1], []).append(p)
+    designated = [name_of[p] for p in pairs if p[0] in d1]
+    interp = {}
+    for matrix, pick, coord in ((m1, by_first, 0), (m2, by_second, 1)):
+        for conn, arity in matrix.signature.connectives:
+            cells = {}
+            for args in itertools.product(pairs, repeat=arity):
+                own = matrix.cell(conn, tuple(a[coord] for a in args))
+                outs = [name_of[p] for v in own for p in pick.get(v, ())]
+                cells[tuple(name_of[a] for a in args)] = tuple(outs)
+            interp[conn] = cells
+    label = f"{m1.name}*{m2.name}" if m1.name and m2.name else ""
+    return Nmatrix(m1.signature.union(m2.signature), [name_of[p] for p in pairs], designated, interp,
+                   name=label, saturated=m1.saturated and m2.saturated)
+
+
+def reference_fibred_semantics(f1: FragmentSpec, f2: FragmentSpec, n: int) -> Nmatrix:
+    m1, m2 = two_valued_matrix(f1), two_valued_matrix(f2)
+    return reference_strict_product(
+        reference_power(m1, 1 if m1.saturated else n), reference_power(m2, 1 if m2.saturated else n)
+    )
+
+
+def _assert_same_matrix(built: Nmatrix, reference: Nmatrix) -> None:
+    assert (built.signature, built.values, built.designated) == (
+        reference.signature, reference.values, reference.designated
+    )
+    assert (built.name, built.saturated) == (reference.name, reference.saturated)
+    assert built.full_interp() == reference.interp
+    assert matrices_equal(built, reference)
+
+
+# the 22 Boolean functions of arity <= 2, as table strings
+_TABLES_LE2 = ["0", "1"] + [
+    "".join(str(bits >> row & 1) for row in range(1 << k)) for k in (1, 2) for bits in range(1 << (1 << k))
+]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("table", _TABLES_LE2)
+def test_power_matches_reference_on_every_small_connective(table, n):
+    arity = {1: 0, 2: 1, 4: 2}[len(table)]
+    m = two_valued_matrix(FragmentSpec.of({"c": BooleanFunction.from_string(table, arity)}), name="m")
+    built = power(m, n)
+    assert built.power_of == (m, n)
+    _assert_same_matrix(built, reference_power(m, n))
+
+
+@pytest.mark.parametrize("example_id", CATALOG_IDS)
+def test_fibred_semantics_matches_reference_on_the_catalog(example_id):
+    f1, f2 = catalog_fragments(example_id)
+    for n in (2, 3):
+        _assert_same_matrix(fibred_semantics(f1, f2, n), reference_fibred_semantics(f1, f2, n))
+
+
+def test_fibred_or_or2_at_power_4_matches_reference():
+    f1, f2 = catalog_fragments("two_disj")
+    built = fibred_semantics(f1, f2, 4)
+    assert len(built.values) == 226
+    _assert_same_matrix(built, reference_fibred_semantics(f1, f2, 4))
+
+
+def test_m3_product_matches_reference():
+    neg, sim = three_valued_negation_matrix("neg"), three_valued_negation_matrix("sim")
+    _assert_same_matrix(strict_product(neg, sim), reference_strict_product(neg, sim))
+    # non-deterministic bases, and a product whose side is a computed power
+    for n in (2, 3):
+        _assert_same_matrix(power(neg, n), reference_power(neg, n))
+    _assert_same_matrix(strict_product(power(neg, 2), sim), reference_strict_product(reference_power(neg, 2), sim))
+    # values listed against their name order, so cells must be re-sorted
+    c_cells = {("u",): ("u", "a"), ("b",): ("b", "a"), ("a",): ("u",)}
+    odd = Nmatrix(Signature.of({"c": 1}), ("u", "b", "a"), ("a",), {"c": c_cells})
+    for n in (2, 3):
+        _assert_same_matrix(power(odd, n), reference_power(odd, n))
+    _assert_same_matrix(strict_product(odd, sim), reference_strict_product(odd, sim))
+
+
+def test_matrices_equal_reads_cells_not_yet_computed():
+    neg, sim = three_valued_negation_matrix("neg"), three_valued_negation_matrix("sim")
+    reference = reference_strict_product(neg, sim)
+    built = strict_product(neg, sim)
+    first = built.values[0]
+    assert built.cell("neg", (first,)) == reference.cell("neg", (first,))
+    assert built.cell("sim", (first,)) == reference.cell("sim", (first,))
+    assert 0 < len(built.interp["neg"]) < len(built.values)
+    # the reference with one cell changed that the product has not read yet
+    last = built.values[-1]
+    changed = {conn: dict(cells) for conn, cells in reference.interp.items()}
+    changed["neg"][(last,)] = reference.values
+    altered = Nmatrix(reference.signature, reference.values, reference.designated, changed)
+    assert not matrices_equal(built, altered)
+    assert matrices_equal(built, reference)
+    assert matrices_equal(reference, built)
+
+
+@pytest.mark.parametrize(
+    "build, conn, args",
+    [
+        (lambda: strict_product(three_valued_negation_matrix("neg"), three_valued_negation_matrix("sim")),
+         "neg", ("(9,9)",)),
+        (lambda: strict_product(three_valued_negation_matrix("neg"), three_valued_negation_matrix("sim")),
+         "sim", ("(0,0)", "(0,0)")),
+        (lambda: power(two_valued_matrix(standard_fragment("or")), 2), "or", ("(0,1)", "(0,1,1)")),
+        (lambda: power(two_valued_matrix(standard_fragment("or")), 2), "or", ("(0,1)",)),
+    ],
+    ids=["product-unknown-value", "product-wrong-arity", "power-unknown-value", "power-wrong-arity"],
+)
+def test_out_of_range_cell_reads_raise_and_store_nothing(build, conn, args):
+    m = build()
+    with pytest.raises(KeyError):
+        m.cell(conn, args)
+    assert all(len(cells) == 0 for cells in m.interp.values())
+
+
+def test_fibred_or_or2_at_power_4_is_built_on_demand():
+    # W5: the 226-value product is handed out without its 102,152 cells
+    f1, f2 = catalog_fragments("two_disj")
+    start = time.perf_counter()
+    m = fibred_semantics(f1, f2, 4)
+    assert time.perf_counter() - start < 0.1
+    sig = m.signature
+    start = time.perf_counter()
+    verdict = entails(m, [parse("or(p,or(q,r))", sig)], parse("or(or(r,q),p)", sig))
+    assert isinstance(verdict, Holds) and time.perf_counter() - start < 1.0

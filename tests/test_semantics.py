@@ -302,8 +302,9 @@ def _brute_force_count(matrix, domain):
             ["neg(sim(p))", "sim(p)", "neg(q)"],
         ),
         (lambda: fibred_semantics(*catalog_fragments("disj_neg"), 2), ["or(p,neg(p))", "neg(q)"]),
+        (lambda: fibred_semantics(*catalog_fragments("two_disj"), 4), ["or2(p,p)"]),
     ],
-    ids=["m3_neg*m3_sim", "disj_neg^2"],
+    ids=["m3_neg*m3_sim", "disj_neg^2", "two_disj^4"],
 )
 def test_enumeration_on_products_lists_every_valuation(build, formulas):
     # the first-solution pruning of the search must never reach the

@@ -186,4 +186,9 @@ def test_signature_operations():
     assert not s1.disjoint_from(Signature.of({"or": 2, "top": 0}))
     with pytest.raises(SignatureError):
         s1.union(Signature.of({"or": 3}))
+    # the cached arity map takes no part in equality, hashing or repr
+    both = s1.union(s2)
+    pairs = (("neg", 1), ("or", 2))
+    assert (both, hash(both), repr(both)) == (Signature(pairs), hash((pairs,)), f"Signature(connectives={pairs!r})")
+    assert (both.arity("neg"), both.arity("and"), "or" in both, s1 <= both, both <= s1) == (1, None, True, True, False)
     assert params(2) == (var("p1"), var("p2"))
