@@ -73,9 +73,6 @@ class Rule:
         names = {v.name for phi in (*self.premises, self.conclusion) for v in variables(phi)}
         return tuple(sorted(names))
 
-    def is_axiom(self) -> bool:
-        return not self.premises
-
     def __str__(self) -> str:
         prem = ", ".join(text(p) for p in self.premises)
         return f"{self.name}: {prem} / {text(self.conclusion)}" if prem else f"{self.name}: |- {text(self.conclusion)}"
@@ -241,7 +238,8 @@ def _universe(calc: HilbertCalculus, base: Sequence[Formula], depth_bound: int, 
     pool.append(fresh_var(base))
     # the (depth, text) sort key of every formula in the pool, each built
     # once from the keys of its arguments
-    keys = {f: (depth(f), text(f)) for f in pool}
+    depths: dict[Formula, int] = {}
+    keys = {f: (depth(f, depths), text(f)) for f in pool}
     for _ in range(depth_bound):
         if len(keys) > cap:
             break
@@ -265,6 +263,11 @@ def _universe(calc: HilbertCalculus, base: Sequence[Formula], depth_bound: int, 
 _step_number = itemgetter(1)
 
 
+def _names(phi: Formula) -> set[str]:
+    return {v.name for v in variables(phi)}
+
+
+@functools.cache
 def _rule_plan(rule: Rule) -> tuple[bool, Optional[int]]:
     """How a rule's conclusion gets its instances once the premises match.
 
@@ -274,12 +277,47 @@ def _rule_plan(rule: Rule) -> tuple[bool, Optional[int]]:
     universe lookup for the candidates."""
     bound = {v.name for phi in rule.premises for v in variables(phi)}
     concl = rule.conclusion
-    if {v.name for v in variables(concl)} <= bound:
+    if _names(concl) <= bound:
         return False, None
     if isinstance(concl, Var):
         return True, None
-    key = next((i for i, a in enumerate(concl.args) if {v.name for v in variables(a)} <= bound), None)
+    key = next((i for i, a in enumerate(concl.args) if _names(a) <= bound), None)
     return True, key
+
+
+@functools.cache
+def _join_plan(rule: Rule) -> tuple[tuple[Optional[int], ...], Optional[int]]:
+    """Where each premise of a rule takes its candidate steps from.
+
+    The second value, when not None, is a conclusion argument the earlier
+    premises bind: the last premise is then found through the universe
+    members with that argument.  This needs a conclusion with no variable
+    the premises leave free, and a last premise whose variables all occur
+    in the earlier premises or the conclusion, so that each universe member
+    fixes the last premise's instance.  The first value gives, per scanned
+    premise, the first argument whose variables the earlier premises all
+    bind: the premise then reads the steps indexed under that argument
+    instead of every step with its head.  It is None for the first premise,
+    a variable, a premise with no such argument and a last premise found
+    through the conclusion."""
+    prems = rule.premises
+    before = [set()]
+    for pattern in prems:
+        before.append(before[-1] | _names(pattern))
+    concl = rule.conclusion
+    via = None
+    if len(prems) >= 2 and isinstance(concl, App) and not _rule_plan(rule)[0]:
+        bound = before[-2]
+        if _names(prems[-1]) <= bound | _names(concl):
+            via = next((j for j, a in enumerate(concl.args) if _names(a) <= bound), None)
+    scanned = len(prems) if via is None else len(prems) - 1
+    scans = tuple(
+        next((j for j, a in enumerate(pattern.args) if _names(a) <= before[i]), None)
+        if 0 < i < scanned and isinstance(pattern, App)
+        else None
+        for i, pattern in enumerate(prems)
+    )
+    return scans, via
 
 
 def derive(
@@ -301,9 +339,11 @@ def derive(
 
     The search runs in rounds; each round fires every rule in calculus
     order, and each firing tries premise matches in step order (premise
-    position 0 outermost), recording conclusions as they are found.  Three
-    devices cut the work without changing which steps are recorded, or in
-    which order:
+    position 0 outermost), recording conclusions as they are found.  That
+    order decides which derivation comes out: the first match of a formula
+    is the one recorded, later matches build on it, and the step cap stops
+    the search at a count.  The devices below cut the work without
+    changing which steps are recorded, or in which order:
 
     * Semi-naive marks.  Each rule remembers how many steps existed when
       its previous firing began.  Every combination of steps below that
@@ -312,14 +352,27 @@ def derive(
       a match come from below the mark, the last premise position only
       scans the steps recorded since; a rule without premises fires once.
     * Indexes.  Derived formulas are kept in per-head lists, so a premise
-      schema is matched only against formulas with its head.  Candidates
-      for free conclusion variables come from a universe index keyed by
-      (head, argument position, argument), on the first conclusion argument
-      the premises fully bind, instead of a scan of the whole universe.
-      Each index lists its members in step (or universe) order, and a scan
-      stops at the length its list had when the scan began, as the full
-      scan stopped at the step count it began with; so the matches found,
-      and their order, are those of a full scan.
+      schema is matched only against formulas with its head.  A premise
+      with an argument the earlier premises bind (imp(p,q) in
+      i4: p, imp(p,q) / q) reads a narrower list, keyed by (head, argument
+      position, argument); that index is kept only for the positions some
+      premise reads.  Candidates for free conclusion variables come from
+      the same kind of index over the universe, on the first conclusion
+      argument the premises bind.  Each list holds its members in step (or
+      universe) order, and a scan stops at the length its list had when
+      the scan began, as the full scan stopped at the step count it began
+      with; so the matches found, and their order, are those of a full
+      scan.
+    * Last premise through the conclusion.  When the earlier premises bind
+      an argument of a fully bound conclusion (c3: p, q / and(p,q);
+      ao1: or(p,q), or(p,r) / or(p,and(q,r))), the last premise is not
+      scanned: each universe member with that argument fixes the last
+      premise's instance, which is looked up among the steps.  A hit counts
+      only if the scan would have reached it (recorded before the scan
+      began, and from the mark on unless an earlier premise is new), and
+      the hits are taken in step order, so the matches are again those of
+      the scan; pairs whose conclusion lies outside the universe are never
+      formed.
     * Lookup-only instantiation.  A conclusion instance is looked up with
       interned_instance, not built: the universe is interned, so an
       instance never built before lies outside it, and rejected candidates
@@ -340,11 +393,21 @@ def derive(
             for pos, a in enumerate(u.args):
                 universe_by_arg.setdefault((u.head, pos, a), []).append(u)
 
+    plans = [(rule, *_rule_plan(rule), *_join_plan(rule)) for rule in calc.rules]
+    # the argument positions some premise reads its steps by, per head
+    read_by_arg: dict[str, set[int]] = {}
+    for rule, _, _, scans, _ in plans:
+        for pattern, pos in zip(rule.premises, scans):
+            if pos is not None:
+                read_by_arg.setdefault(pattern.head, set()).add(pos)
+
     steps: list[Step] = []
     index: dict[Formula, int] = {}
-    # (formula, step number) in step order: all of them, and by head symbol
+    # (formula, step number) in step order: all of them, by head symbol, and
+    # by (head, argument position, argument) for the positions in read_by_arg
     every: list[tuple[Formula, int]] = []
     by_head: dict[str, list[tuple[Formula, int]]] = {}
+    by_arg: dict[tuple[str, int, Formula], list[tuple[Formula, int]]] = {}
 
     def record(phi: Formula, just: Justification) -> None:
         k = len(steps)
@@ -353,13 +416,19 @@ def derive(
         every.append((phi, k))
         if isinstance(phi, App):
             by_head.setdefault(phi.head, []).append((phi, k))
+            for pos in read_by_arg.get(phi.head, ()):
+                # a sequent may use a rule's head at another arity
+                if pos < len(phi.args):
+                    by_arg.setdefault((phi.head, pos, phi.args[pos]), []).append((phi, k))
 
     for phi in premises:
         record(phi, Premise())
     if goal in index:
         return Derived(_trim(steps, index, goal))
 
-    def fire(rule: Rule, leftover: bool, key: Optional[int], mark: int) -> Iterator:
+    def fire(
+        rule: Rule, leftover: bool, key: Optional[int], scans: tuple[Optional[int], ...], via: Optional[int], mark: int
+    ) -> Iterator:
         """(conclusion, substitution, premise steps) for each new match."""
         prems = rule.premises
         last = len(prems) - 1
@@ -383,12 +452,37 @@ def derive(
                 if filled is not None:
                     yield u, filled, used
 
+        def through_conclusion(sigma: dict[str, Formula], used: tuple[int, ...], fresh: bool) -> Iterator:
+            pattern = rule.conclusion
+            arg = interned_instance(sigma, pattern.args[via])
+            low, end = (0 if fresh else mark), len(steps)
+            hits = []
+            for u in universe_by_arg.get((pattern.head, via, arg), ()):
+                filled = _match(pattern, u, sigma)
+                if filled is not None:
+                    k = index.get(interned_instance(filled, prems[last]))
+                    if k is not None and low <= k < end:
+                        hits.append((k, u, filled))
+            hits.sort(key=itemgetter(0))
+            for k, u, filled in hits:
+                yield u, filled, used + (k,)
+
         def match_from(i: int, sigma: dict[str, Formula], used: tuple[int, ...], fresh: bool) -> Iterator:
             if i > last:
                 yield from conclude(sigma, used)
                 return
+            if i == last and via is not None:
+                yield from through_conclusion(sigma, used, fresh)
+                return
             pattern = prems[i]
-            entries = every if isinstance(pattern, Var) else by_head.get(pattern.head, ())
+            pos = scans[i]
+            if isinstance(pattern, Var):
+                entries = every
+            elif pos is None:
+                entries = by_head.get(pattern.head, ())
+            else:
+                arg = interned_instance(sigma, pattern.args[pos])
+                entries = by_arg.get((pattern.head, pos, arg), ())  # type: ignore[arg-type]
             end = len(entries)
             start = 0 if fresh or i < last else bisect_left(entries, mark, 0, end, key=_step_number)
             for j in range(start, end):
@@ -399,16 +493,15 @@ def derive(
 
         return match_from(0, {}, (), False)
 
-    plans = [(rule, *_rule_plan(rule)) for rule in calc.rules]
     marks: list[Optional[int]] = [None] * len(plans)
     while True:
         grew = False
-        for r, (rule, leftover, key) in enumerate(plans):
+        for r, (rule, leftover, key, scans, via) in enumerate(plans):
             mark = marks[r]
             if mark is not None and not rule.premises:
                 continue
             marks[r] = len(steps)
-            for concl, sigma, used in fire(rule, leftover, key, mark or 0):
+            for concl, sigma, used in fire(rule, leftover, key, scans, via, mark or 0):
                 if concl in index:
                     continue
                 record(concl, RuleApp(rule.name, tuple(sorted(sigma.items())), used))
@@ -424,17 +517,15 @@ def derive(
 def _trim(steps: Sequence[Step], index: Mapping[Formula, int], goal: Formula) -> Derivation:
     """Keep only the steps the goal actually depends on, renumbered."""
     needed: set[int] = set()
-
-    def need(i: int) -> None:
+    todo = [index[goal]]
+    while todo:
+        i = todo.pop()
         if i in needed:
-            return
+            continue
         needed.add(i)
         j = steps[i].justification
         if isinstance(j, RuleApp):
-            for k in j.premise_steps:
-                need(k)
-
-    need(index[goal])
+            todo.extend(j.premise_steps)
     keep = sorted(needed)
     renum = {old: new for new, old in enumerate(keep)}
     out = []

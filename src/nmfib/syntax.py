@@ -166,10 +166,31 @@ def text(phi: Formula) -> str:
     return canon_key(phi)[1]
 
 
-def depth(phi: Formula) -> int:
-    if isinstance(phi, Var) or not phi.args:
-        return 0
-    return 1 + max(depth(a) for a in phi.args)
+def depth(phi: Formula, memo: Optional[dict[Formula, int]] = None) -> int:
+    """Nesting depth of connectives with arguments (0 for variables and
+    constants), walked with an explicit stack.
+
+    memo maps formulas to their depths; a caller measuring many formulas
+    that share subformulas passes one dict to all calls, so each distinct
+    subformula is walked once."""
+    if memo is None:
+        memo = {}
+    stack = [phi]
+    while stack:
+        psi = stack[-1]
+        if psi in memo:
+            stack.pop()
+        elif isinstance(psi, Var) or not psi.args:
+            memo[psi] = 0
+            stack.pop()
+        else:
+            missing = [a for a in psi.args if a not in memo]
+            if missing:
+                stack.extend(missing)
+            else:
+                memo[psi] = 1 + max(memo[a] for a in psi.args)
+                stack.pop()
+    return memo[phi]
 
 
 def size(phi: Formula) -> int:

@@ -1,14 +1,18 @@
+import time
+
 import pytest
 
 from nmfib.boolfun import standard_fragment
 from nmfib.calculus import (
     BUILTIN_IDS,
     Derivation,
+    Derived,
     NotFoundAtBound,
     Premise,
     Rule,
     RuleApp,
     Step,
+    _join_plan,
     audit,
     builtin_calculus,
     derive,
@@ -19,7 +23,7 @@ from nmfib.calculus import (
     verify,
 )
 from nmfib.semantics import entails, two_valued_matrix
-from nmfib.syntax import SignatureError, apply_substitution, parse, text, var
+from nmfib.syntax import SignatureError, app, apply_substitution, parse, text, var
 
 
 def rule_bodies(calc):
@@ -195,3 +199,60 @@ def test_fresh_variable_conclusion():
     sig = c.signature
     res = derive(c, [parse("bot", sig)], parse("or(x,y)", sig), universe_depth=1, step_cap=500)
     assert res and verify(res.derivation, c, [parse("bot", sig)], parse("or(x,y)", sig))
+
+
+# (premise scans, conclusion argument) of every bundled rule with two
+# premises, from calculus._join_plan: a premise scan names the argument the
+# premise's steps are read by, and the conclusion argument says that the last
+# premise is found through the universe; (None, None), None would mean a scan
+# of every step with the premise's head against every earlier match
+TWO_PREMISE_PLANS = {
+    ("B_and", "c3"): ((None, None), 0),
+    ("B_and2", "c3"): ((None, None), 0),
+    ("and_or", "ao1"): ((None, None), 0),
+    ("B_imp", "i4"): ((None, 0), None),
+    ("B_iff", "e2"): ((None, 0), None),
+    ("B_neg", "n3"): ((None, 0), None),
+    ("B_sim", "n3"): ((None, 0), None),
+    ("or_neg", "on4"): ((None, 0), None),
+}
+
+
+def test_two_premise_rules_join_through_an_index():
+    plans = {
+        (cid, r.name): _join_plan(r)
+        for cid in BUILTIN_IDS
+        for r in builtin_calculus(cid).rules
+        if len(r.premises) >= 2
+    }
+    assert plans == TWO_PREMISE_PLANS
+
+
+def test_c3_join_is_driven_by_the_universe():
+    # the slowest op of the derive benchmark (derive.d2#150): 0.3 s when c3
+    # matched every pair of steps
+    c = merge(merge(builtin_calculus("B_or"), builtin_calculus("B_and")), builtin_calculus("and_or"))
+    sig = c.signature
+    prems = [parse("and(and(p,p),and(p,p))", sig), parse("p", sig)]
+    goal = parse("and(and(p,p),p)", sig)
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        res = derive(c, prems, goal, universe_depth=2)
+        best = min(best, time.perf_counter() - start)
+    assert best < 0.1
+    assert res and verify(res.derivation, c, prems, goal)
+
+
+def test_derive_from_a_deep_premise():
+    # neg^2400(p) |- p by 1200 double-negation eliminations: the universe's
+    # depths and the trimming of the derivation walk without recursion
+    c = builtin_calculus("B_neg")
+    p = var("p")
+    phi = p
+    for _ in range(2400):
+        phi = app("neg", (phi,))
+    res = derive(c, [phi], p, universe_depth=0)
+    assert isinstance(res, Derived)
+    assert len(res.derivation.steps) == 1201
+    assert verify(res.derivation, c, [phi], p)

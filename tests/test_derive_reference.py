@@ -250,6 +250,18 @@ def test_derive_agrees_with_reference_under_step_caps():
         _assert_same(calc, prems, goal, depth=1, step_cap=cap)
 
 
+def test_derive_takes_the_last_premise_in_step_order():
+    # c3 finds its last premise through the universe, where and(b,a) comes
+    # before and(b,b); the scan it replaces reaches b (step 0) before a
+    # (step 2), and the step cap shows which conclusion is recorded first
+    calc = CALCULI["B_and"]
+    sig = calc.signature
+    prems = [parse("b", sig), parse("and(a,a)", sig)]
+    goal = parse("and(b,b)", sig)
+    for cap in range(3, 12):
+        _assert_same(calc, prems, goal, depth=1, step_cap=cap)
+
+
 @pytest.mark.parametrize(
     "cid, premises, goal",
     [
@@ -259,6 +271,8 @@ def test_derive_agrees_with_reference_under_step_caps():
         ("B_imp", ["imp(p,q)", "imp(q,r)", "p"], "r"),
         ("neg+sim+neg_pair", ["neg(neg(p))"], "sim(sim(p))"),
         ("B_iff", ["iff(p,q)"], "iff(q,p)"),
+        ("or+and+and_or", ["and(and(p,p),and(p,p))", "p"], "and(and(p,p),p)"),
+        ("or+and+and_or", ["or(p,q)", "or(p,r)"], "or(p,and(q,r))"),
     ],
 )
 def test_derive_agrees_with_reference_at_depth_2(cid, premises, goal):

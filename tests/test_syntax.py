@@ -81,6 +81,18 @@ def test_subformulas_and_vars():
     assert apply_substitution(sigma, parse("and(p,p)", SIG)) == parse("and(or(q,q),or(q,q))", SIG)
 
 
+def test_depth():
+    assert depth(var("p")) == 0 and depth(parse("bot", SIG)) == 0
+    assert depth(parse("and(neg(p),or(q,neg(bot)))", SIG)) == 3
+    chain = var("p")
+    for _ in range(5000):
+        chain = app("neg", (chain,))
+    memo = {}
+    assert depth(chain, memo) == 5000
+    # the memo holds every subformula walked, so a second call reads it
+    assert len(memo) == 5001 and depth(chain.args[0], memo) == 4999
+
+
 @settings(max_examples=50, deadline=None)
 @given(formulas(), formulas(), formulas())
 def test_substitution_composition_associates(phi, a, b):
