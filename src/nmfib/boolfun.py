@@ -4,14 +4,21 @@ A k-place function is a 2^k-bit table.  Row i is the argument vector given by
 the k-bit big-endian encoding of i (first argument = most significant bit),
 and bit i of the mask holds the value on row i.  The string form writes row 0
 first, so the classical 'or' is "0111".
+
+The closed-form clone tests read the taxonomy (classify) and Post's
+predicates.  Clone closure at a fixed arity has one engine, _closure, which
+yields each new table once, with a recipe for it; clone_closure_at_arity
+keeps the tables, and clone_expressions turns the recipes into derived
+connectives, building one formula per table it keeps.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from . import bundled
 from .syntax import (
@@ -20,6 +27,7 @@ from .syntax import (
     SignatureError,
     Var,
     app,
+    apply_substitution,
     params,
     parse,
     var,
@@ -112,13 +120,9 @@ def _row_args(row: int, arity: int) -> tuple[int, ...]:
     return tuple(row >> (arity - 1 - i) & 1 for i in range(arity))
 
 
-def _projection(arity: int, j: int) -> BooleanFunction:
-    """The j-th projection (1-based) at the given arity."""
-    bits = 0
-    for row in range(1 << arity):
-        if row >> (arity - j) & 1:
-            bits |= 1 << row
-    return BooleanFunction(arity, bits)
+def _projection(arity: int, j: int) -> int:
+    """Table of the j-th projection (1-based) at the given arity."""
+    return sum(1 << row for row in range(1 << arity) if row >> (arity - j) & 1)
 
 
 def _constant(arity: int, value: int) -> BooleanFunction:
@@ -157,8 +161,6 @@ def classify(f: BooleanFunction) -> Classification:
         mask |= 1 << (f.arity - j)
     is_pc = all(f.on_row(r) == (1 if r & mask == mask else 0) for r in range(rows))
     pc = projective if is_pc and not bottom else None
-    if bottom:
-        pc = None
     return Classification(
         top_like=top,
         bottom_like=bottom,
@@ -220,36 +222,23 @@ def post_predicates(f: BooleanFunction) -> PostPredicates:
 
 
 # ---------------------------------------------------------------------------
-# Closed-form clone membership (arity >= 1)
+# Closed-form clone membership; a 0-place function is its constant
 # ---------------------------------------------------------------------------
 
 def in_clone_top(f: BooleanFunction) -> bool:
     """Constant-1 functions and projections: the clone generated by top."""
-    if f.arity < 1:
-        raise ValueError("0-place functions are handled at fragment level")
-    if f.bits == (1 << (1 << f.arity)) - 1:
-        return True
-    return any(f == _projection(f.arity, j) for j in range(1, f.arity + 1))
+    pc = classify(f).projection_conjunction
+    return pc is not None and len(pc) <= 1
 
 
 def in_clone_and_top_bot(f: BooleanFunction) -> bool:
     """Constant-0, or the conjunction of the arguments in some set J."""
-    if f.arity < 1:
-        raise ValueError("0-place functions are handled at fragment level")
-    rows = 1 << f.arity
-    ones = [r for r in range(rows) if f.on_row(r)]
-    if not ones:
-        return True
-    meet = rows - 1
-    for r in ones:
-        meet &= r
-    return all(f.on_row(r) == (1 if r & meet == meet else 0) for r in range(rows))
+    cls = classify(f)
+    return cls.bottom_like or cls.projection_conjunction is not None
 
 
 def in_clone_biimp(f: BooleanFunction) -> bool:
     """Affine and 1-preserving: the clone generated by bi-implication."""
-    if f.arity < 1:
-        raise ValueError("0-place functions are handled at fragment level")
     p = post_predicates(f)
     return p.affine and p.preserves1
 
@@ -321,16 +310,8 @@ def fragment_in_clone(frag: FragmentSpec, clone: str) -> bool:
     0-place connectives: value 1 is admitted by every clone here; value 0
     only by the conjunction-with-constants clone.
     """
-    tests = {"top": in_clone_top, "and_top_bot": in_clone_and_top_bot, "biimp": in_clone_biimp}
-    test = tests[clone]
-    for _, f in frag.functions:
-        if f.arity == 0:
-            if f.bits == 0 and clone != "and_top_bot":
-                return False
-            continue
-        if not test(f):
-            return False
-    return True
+    test = {"top": in_clone_top, "and_top_bot": in_clone_and_top_bot, "biimp": in_clone_biimp}[clone]
+    return all(test(f) for _, f in frag.functions)
 
 
 # Post's five maximal clones, each with the PostPredicates field true of its members
@@ -357,29 +338,19 @@ def functionally_complete(frag: FragmentSpec) -> CompletenessVerdict:
 # Clone closure at a fixed arity
 # ---------------------------------------------------------------------------
 
-def _compose_bits(g: BooleanFunction, hs: Sequence[int], k: int) -> int:
-    """Table of g(h1..hm) as a mask over the 2^k rows.
-
-    Works minterm-wise on g: each satisfying row of g contributes the rows
-    where every argument mask agrees with it.
-    """
-    full = (1 << (1 << k)) - 1
+def _compose_bits(minterms: Sequence[tuple[int, ...]], hs: Sequence[int], full: int) -> int:
+    """Table of g(h1..hm) as a mask over the rows of full, given the
+    argument vectors on which g is 1: each contributes the rows where every
+    argument mask agrees with it."""
     out = 0
-    m = g.arity
-    for row_g in range(1 << m):
-        if not g.on_row(row_g):
-            continue
+    for args in minterms:
         acc = full
-        for i, h in enumerate(hs):
-            acc &= h if row_g >> (m - 1 - i) & 1 else full ^ h
+        for bit, h in zip(args, hs):
+            acc &= h if bit else full ^ h
             if not acc:
                 break
         out |= acc
     return out
-
-
-def _compose(g: BooleanFunction, hs: Sequence[BooleanFunction], k: int) -> int:
-    return _compose_bits(g, [h.bits for h in hs], k)
 
 
 def _frontier_tuples(new_item, older: Sequence, m: int):
@@ -397,6 +368,54 @@ class ClosureBudgetExceeded(ValueError):
     """The closure fixpoint hit its size or work cap before completing."""
 
 
+def _closure(
+    named_gens: Sequence[tuple[object, BooleanFunction]], k: int, cap: int, work_cap: Optional[int] = None
+) -> Iterator[tuple[int, object]]:
+    """Each table of the k-ary slice of the clone of the named generators,
+    once, in discovery order, with a recipe for it: the index j of the
+    projection p_j, or (name, argument tables) for a generator applied to
+    tables yielded before it (no arguments for a 0-place generator).
+
+    After the projections and the 0-place constants, each table in turn is
+    the frontier: every generator, in the given order, is applied to each
+    tuple of known tables that holds the frontier.  The caps bound the
+    tables known when a frontier is taken and, if given, the tuples tried.
+    """
+    if not 1 <= k <= 4:
+        raise ValueError("closure arity must be between 1 and 4")
+    full = (1 << (1 << k)) - 1
+    start: list[tuple[int, object]] = [(_projection(k, j), j) for j in range(1, k + 1)]
+    start += [(full if g.bits & 1 else 0, (name, ())) for name, g in named_gens if g.arity == 0]
+    ops = [
+        (name, g.arity, [_row_args(row, g.arity) for row in range(1 << g.arity) if g.on_row(row)])
+        for name, g in named_gens
+        if g.arity > 0
+    ]
+    order: list[int] = []
+    for bits, recipe in start:
+        if bits not in order:
+            order.append(bits)
+            yield bits, recipe
+    have = set(order)
+    work = 0
+    # order grows while it is walked: every table found becomes a frontier
+    for frontier, f_new in enumerate(order):
+        if len(order) > cap:
+            raise ClosureBudgetExceeded(f"clone closure exceeded cap of {cap} functions")
+        older = order[:frontier]
+        for name, m, minterms in ops:
+            if work_cap is not None:
+                work += (frontier + 1) ** m - frontier**m
+                if work > work_cap:
+                    raise ClosureBudgetExceeded(f"clone closure exceeded work cap of {work_cap}")
+            for hs in _frontier_tuples(f_new, older, m):
+                bits = _compose_bits(minterms, hs, full)
+                if bits not in have:
+                    have.add(bits)
+                    order.append(bits)
+                    yield bits, (name, tuple(hs))
+
+
 def clone_closure_at_arity(
     generators: Iterable[BooleanFunction],
     k: int,
@@ -408,40 +427,10 @@ def clone_closure_at_arity(
     Least set containing the k projections, closed under applying each
     generator to k-ary members; 0-place generators contribute constants.
     """
-    if not 1 <= k <= 4:
-        raise ValueError("closure arity must be between 1 and 4")
     gens = sorted(set(generators), key=lambda f: (f.arity, f.bits))
-    have: set[int] = set()
-    order: list[BooleanFunction] = []
-    work = 0
-
-    def add(bits: int) -> None:
-        if bits not in have:
-            have.add(bits)
-            order.append(BooleanFunction(k, bits))
-
-    for j in range(1, k + 1):
-        add(_projection(k, j).bits)
-    for g in gens:
-        if g.arity == 0:
-            add(_constant(k, g.bits & 1).bits)
-    frontier = 0
-    while frontier < len(order):
-        if len(order) > cap:
-            raise ClosureBudgetExceeded(f"clone closure exceeded cap of {cap} functions")
-        f_new = order[frontier]
-        older = order[:frontier]
-        frontier += 1
-        for g in gens:
-            if g.arity == 0:
-                continue
-            m = g.arity
-            work += (len(older) + 1) ** m - len(older) ** m
-            if work > work_cap:
-                raise ClosureBudgetExceeded(f"clone closure exceeded work cap of {work_cap}")
-            for hs in _frontier_tuples(f_new, older, m):
-                add(_compose(g, hs, k))
-    return frozenset(order)
+    # the recipes are dropped, so each generator serves as its own name
+    tables = _closure([(f, f) for f in gens], k, cap, work_cap)
+    return frozenset(BooleanFunction(k, bits) for bits, _ in tables)
 
 
 def clone_expressions(
@@ -456,51 +445,28 @@ def clone_expressions(
     Discovery order, so returned expressions stay small.  Stops early once
     all requested target tables are found; gives up quietly at the cap.
     """
-    if not 1 <= k <= 4:
-        raise ValueError("closure arity must be between 1 and 4")
     want = set(targets) if targets is not None else None
     found: dict[int, Formula] = {}
-    order: list[int] = []
-
-    def add(bits: int, expr: Formula) -> bool:
-        if bits not in found:
-            found[bits] = expr
-            order.append(bits)
-        if want is not None and want <= set(found):
-            return True
-        return False
-
-    for j in range(1, k + 1):
-        if add(_projection(k, j).bits, var(f"p{j}")):
-            return found
-    for name, g in sorted(generators.items()):
-        if g.arity == 0:
-            if add(_constant(k, g.bits & 1).bits, app(name, ())):
-                return found
-    frontier = 0
-    while frontier < len(order):
-        if len(order) > cap:
-            break
-        bits_new = order[frontier]
-        older = order[:frontier]
-        frontier += 1
-        for name, g in sorted(generators.items()):
-            if g.arity == 0:
-                continue
-            for hs in _frontier_tuples(bits_new, older, g.arity):
-                table = _compose_bits(g, hs, k)
-                expr = app(name, tuple(found[b] for b in hs))
-                if add(table, expr):
-                    return found
+    try:
+        for bits, recipe in _closure(sorted(generators.items()), k, cap):
+            if isinstance(recipe, int):
+                found[bits] = var(f"p{recipe}")
+            else:
+                name, hs = recipe
+                found[bits] = app(name, tuple(found[h] for h in hs))
+            if want is not None:
+                want.discard(bits)
+                if not want:
+                    break
+    except ClosureBudgetExceeded:
+        pass
     return found
 
 
 def find_expression(frag: FragmentSpec, target: BooleanFunction, cap: int = 4096) -> Optional[Formula]:
     """A derived connective of the fragment computing the target table, if
     one is found within the search cap."""
-    gens = dict(frag.functions)
-    found = clone_expressions(gens, target.arity, targets=[target.bits], cap=cap)
-    return found.get(target.bits)
+    return clone_expressions(dict(frag.functions), target.arity, targets=[target.bits], cap=cap).get(target.bits)
 
 
 def function_of_formula(phi: Formula, frag: FragmentSpec, k: int) -> BooleanFunction:
@@ -545,8 +511,6 @@ def nontop_unary_witness(name: str, f: BooleanFunction) -> Formula:
         args = tuple(alpha if bit else p for bit in _row_args(row, f.arity))
         theta = app(name, args)
     # the table of theta must be falsifiable, by construction
-    from .syntax import apply_substitution
-
     renamed = apply_substitution({"p": var("p1")}, theta)
     table = function_of_formula(renamed, FragmentSpec.of({name: f}), 1)
     if classify(table).top_like:
@@ -577,12 +541,7 @@ DERIVED_TRANSLATIONS: dict[str, tuple[int, str]] = {
 }
 
 
-def _primitive_fragment() -> FragmentSpec:
-    return FragmentSpec.of(
-        {name: BooleanFunction.from_string(s, k) for name, (k, s) in PRIMITIVE_TABLES.items()}
-    )
-
-
+@functools.cache
 def _derivation_fragment() -> FragmentSpec:
     """Primitives plus every derived connective defined before this point."""
     out = {name: BooleanFunction.from_string(s, k) for name, (k, s) in PRIMITIVE_TABLES.items()}
@@ -614,16 +573,17 @@ def threshold_formula(k: int, n: int) -> Formula:
     return build(params(k), n)
 
 
+# the standard tables are computed once; a BooleanFunction is frozen, so
+# callers may share them
+@functools.cache
 def threshold_function(k: int, n: int) -> BooleanFunction:
-    return function_of_formula(threshold_formula(k, n), _primitive_fragment(), k)
+    return function_of_formula(threshold_formula(k, n), _derivation_fragment(), k)
 
 
+@functools.cache
 def standard_function(name: str) -> BooleanFunction:
     """Table of any standard connective name, including thr_k_n."""
-    if name in PRIMITIVE_TABLES:
-        k, s = PRIMITIVE_TABLES[name]
-        return BooleanFunction.from_string(s, k)
-    if name in DERIVED_TRANSLATIONS:
+    if name in PRIMITIVE_TABLES or name in DERIVED_TRANSLATIONS:
         return _derivation_fragment().function(name)
     if name.startswith("thr_"):
         try:

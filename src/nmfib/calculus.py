@@ -358,7 +358,8 @@ def derive(
       position, argument); that index is kept only for the positions some
       premise reads.  Candidates for free conclusion variables come from
       the same kind of index over the universe, on the first conclusion
-      argument the premises bind.  Each list holds its members in step (or
+      argument the premises bind, kept likewise only for the positions
+      some conclusion reads.  Each list holds its members in step (or
       universe) order, and a scan stops at the length its list had when
       the scan began, as the full scan stopped at the step count it began
       with; so the matches found, and their order, are those of a full
@@ -385,21 +386,26 @@ def derive(
     premises = canon_sort(premises)
     universe = _universe(calc, premises + [goal], universe_depth, cap=max(step_cap, 2000))
     in_universe = set(universe)
+    plans = [(rule, *_rule_plan(rule), *_join_plan(rule)) for rule in calc.rules]
+    # per head, the argument positions premises read steps by and conclusions read universe members by
+    read_by_arg: dict[str, set[int]] = {}
+    universe_read_by_arg: dict[str, set[int]] = {}
+    for rule, leftover, key, scans, via in plans:
+        for pattern, pos in zip(rule.premises, scans):
+            if pos is not None:
+                read_by_arg.setdefault(pattern.head, set()).add(pos)
+        for pos in (key, via):
+            if pos is not None:
+                universe_read_by_arg.setdefault(rule.conclusion.head, set()).add(pos)
+
     universe_by_head: dict[str, list[Formula]] = {}
     universe_by_arg: dict[tuple[str, int, Formula], list[Formula]] = {}
     for u in universe:
         if isinstance(u, App):
             universe_by_head.setdefault(u.head, []).append(u)
-            for pos, a in enumerate(u.args):
-                universe_by_arg.setdefault((u.head, pos, a), []).append(u)
-
-    plans = [(rule, *_rule_plan(rule), *_join_plan(rule)) for rule in calc.rules]
-    # the argument positions some premise reads its steps by, per head
-    read_by_arg: dict[str, set[int]] = {}
-    for rule, _, _, scans, _ in plans:
-        for pattern, pos in zip(rule.premises, scans):
-            if pos is not None:
-                read_by_arg.setdefault(pattern.head, set()).add(pos)
+            for pos in universe_read_by_arg.get(u.head, ()):
+                if pos < len(u.args):
+                    universe_by_arg.setdefault((u.head, pos, u.args[pos]), []).append(u)
 
     steps: list[Step] = []
     index: dict[Formula, int] = {}

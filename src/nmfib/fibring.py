@@ -208,10 +208,15 @@ def _condition_b(f1: FragmentSpec, f2: FragmentSpec) -> bool:
     return fragment_in_clone(f1, "and_top_bot") and fragment_in_clone(f2, "and_top_bot")
 
 
+def _falsums(frag: FragmentSpec) -> list[str]:
+    """The names of the fragment's 0-place connectives with value 0."""
+    return [n for n, f in frag.functions if f.arity == 0 and f.bits == 0]
+
+
 def _condition_c(side_biimp: FragmentSpec, side_bot: FragmentSpec) -> bool:
     if not fragment_in_clone(side_biimp, "biimp"):
         return False
-    bots = [n for n, f in side_bot.functions if f.arity == 0 and f.bits == 0]
+    bots = _falsums(side_bot)
     if len(bots) != 1:
         return False
     # everything else must be top-like; projections in particular disqualify
@@ -348,7 +353,7 @@ def _curated_sequents(f1: FragmentSpec, f2: FragmentSpec) -> Iterator[Sequent]:
 
     # a falsum on one side against an expressible short-list connective
     for fa, fb in ((f1, f2), (f2, f1)):
-        bots = [n for n, f in fb.functions if f.arity == 0 and f.bits == 0]
+        bots = _falsums(fb)
         for b in bots:
             yield from _l2_witnesses(fa, app(b, ()))
         # two falsums against an expressible ternary parity connective
@@ -410,18 +415,11 @@ def auto_calculus(frag: FragmentSpec) -> HilbertCalculus:
     """
     sig = frag.signature
     rules: list[Rule] = []
-    stock = {
-        standard_function("or"): "B_or",
-        standard_function("neg"): "B_neg",
-        standard_function("imp"): "B_imp",
-        standard_function("iff"): "B_iff",
-    }
-    stock_names = {"B_or": "or", "B_neg": "neg", "B_imp": "imp", "B_iff": "iff"}
+    # the stock calculus B_c is written for the connective c
+    stock = {standard_function(c): c for c in ("or", "neg", "imp", "iff")}
     for name, f in frag.functions:
-        cid = stock.get(f)
-        if cid is not None:
-            base = builtin_calculus(cid)
-            rules.extend(renamed(base, {stock_names[cid]: name}).rules)
+        if f in stock:
+            rules.extend(renamed(builtin_calculus(f"B_{stock[f]}"), {stock[f]: name}).rules)
             continue
         cls = classify(f)
         ps = tuple(var(f"p{i}") for i in range(1, f.arity + 1))
@@ -429,22 +427,17 @@ def auto_calculus(frag: FragmentSpec) -> HilbertCalculus:
         if cls.projection_conjunction is not None:
             for j in cls.projection_conjunction:
                 rules.append(Rule.of(f"{name}_e{j}", [head], ps[j - 1]))
-            rules.append(
-                Rule.of(f"{name}_i", [ps[j - 1] for j in cls.projection_conjunction], head)
-            )
-            continue
-        if cls.bottom_like:
+            rules.append(Rule.of(f"{name}_i", [ps[j - 1] for j in cls.projection_conjunction], head))
+        elif cls.bottom_like:
             rules.append(Rule.of(f"{name}_x", [head], var("q")))
-            continue
-        # no stock calculus for this table
     # dedupe names
-    seen: dict[str, int] = {}
+    seen: set[str] = set()
     unique = []
     for r in rules:
         nm = r.name
         while nm in seen:
             nm += "'"
-        seen[nm] = 1
+        seen.add(nm)
         unique.append(Rule(nm, r.premises, r.conclusion))
     return HilbertCalculus.of(sig, unique)
 
