@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -15,6 +16,7 @@ from nmfib.boolfun import (
     standard_fragment,
     standard_function,
 )
+from nmfib import bundled
 from nmfib.calculus import BUILTIN_IDS, builtin_calculus, load_calculus
 from nmfib.fibring import (
     CATALOG_IDS,
@@ -560,3 +562,20 @@ def test_bundled_system_files_load():
     for cid in CATALOG_IDS:
         for frag in catalog_fragments(cid):
             assert frag == FragmentSpec.of({n: _classical_function(n) for n in frag.names()}), cid
+
+
+def test_auto_calculus_rules_are_pinned():
+    # signature, rule names (primes on clashes), premises, conclusions and
+    # rule order for every bundled fragment and every catalog pair's union
+    frags = [(stem, load_fragment(bundled.read(f"{stem}.json", "fragment"))) for stem in bundled.stems("fragment")]
+    frags += [(cid, catalog_fragments(cid)[0].union(catalog_fragments(cid)[1])) for cid in CATALOG_IDS]
+    rendered = []
+    for label, frag in frags:
+        calc = auto_calculus(frag)
+        rules = [[r.name, [text(p) for p in r.premises], text(r.conclusion)] for r in calc.rules]
+        rendered.append([label, list(calc.signature.connectives), rules])
+    assert len(rendered) == 33 and sum(len(rules) for *_, rules in rendered) == 103
+    by_label = {label: rules for label, _, rules in rendered}
+    assert [name for name, *_ in by_label["two_neg"]] == ["n1", "n2", "n3", "n1'", "n2'", "n3'"]
+    digest = hashlib.sha256(json.dumps(rendered).encode("utf-8")).hexdigest()
+    assert digest == "67484fc6bd5b4c26c459abf8851a979a566591b8357b495be440664308ac26af"
