@@ -62,7 +62,6 @@ __all__ = [
     "PRIMITIVE_TABLES",
     "DERIVED_TRANSLATIONS",
     "load_fragment",
-    "dump_fragment",
 ]
 
 
@@ -247,7 +246,10 @@ def separation_degree(f: BooleanFunction) -> float:
     """The largest k such that every k true rows of f share a coordinate
     equal to 1; infinity when all its true rows share one.  T0_k, the clone
     of coimp and thr_{k+1}_k, holds the functions of degree at least k, and
-    T0_inf, the clone of coimp, those of infinite degree (Post 1941)."""
+    T0_inf, the clone of coimp, those of infinite degree (Post 1941).  A
+    0-place function counts as its unary constant."""
+    if f.arity == 0:
+        f = _constant(1, f.bits & 1)
     ones = [r for r in range(1 << f.arity) if f.on_row(r)]
     # the meets of k true rows, as masks of the coordinates they share
     meets, k = {(1 << f.arity) - 1}, -1
@@ -624,11 +626,3 @@ def load_fragment(data: Mapping) -> FragmentSpec:
         raise ValueError("fragment file declares no connectives")
     return FragmentSpec.of(out)
 
-
-def dump_fragment(frag: FragmentSpec) -> dict:
-    return {
-        "connectives": [
-            {"name": name, "arity": f.arity, "table": f.to_string()}
-            for name, f in frag.functions
-        ]
-    }

@@ -34,7 +34,6 @@ from .syntax import (
     parse,
     subformula_closure,
     text,
-    var,
     variables,
 )
 
@@ -55,7 +54,6 @@ __all__ = [
     "verify",
     "audit",
     "load_calculus",
-    "dump_calculus",
 ]
 
 
@@ -596,16 +594,3 @@ def load_calculus(data: Mapping) -> HilbertCalculus:
         )
     return HilbertCalculus.of(sig, rules)
 
-
-def dump_calculus(calc: HilbertCalculus) -> dict:
-    return {
-        "signature": [{"name": n, "arity": k} for n, k in calc.signature.connectives],
-        "rules": [
-            {
-                "name": r.name,
-                "premises": [text(p) for p in r.premises],
-                "conclusion": text(r.conclusion),
-            }
-            for r in calc.rules
-        ],
-    }

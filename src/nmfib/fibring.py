@@ -414,32 +414,25 @@ def auto_calculus(frag: FragmentSpec) -> HilbertCalculus:
     rules; the derivation side just gets weaker, never unsound.
     """
     sig = frag.signature
-    rules: list[Rule] = []
+    calc = HilbertCalculus.of(sig, ())
     # the stock calculus B_c is written for the connective c
     stock = {standard_function(c): c for c in ("or", "neg", "imp", "iff")}
     for name, f in frag.functions:
         if f in stock:
-            rules.extend(renamed(builtin_calculus(f"B_{stock[f]}"), {stock[f]: name}).rules)
+            calc = merge(calc, renamed(builtin_calculus(f"B_{stock[f]}"), {stock[f]: name}))
             continue
         cls = classify(f)
         ps = tuple(var(f"p{i}") for i in range(1, f.arity + 1))
         head = app(name, ps)
+        rules: list[Rule] = []
         if cls.projection_conjunction is not None:
             for j in cls.projection_conjunction:
                 rules.append(Rule.of(f"{name}_e{j}", [head], ps[j - 1]))
             rules.append(Rule.of(f"{name}_i", [ps[j - 1] for j in cls.projection_conjunction], head))
         elif cls.bottom_like:
             rules.append(Rule.of(f"{name}_x", [head], var("q")))
-    # dedupe names
-    seen: set[str] = set()
-    unique = []
-    for r in rules:
-        nm = r.name
-        while nm in seen:
-            nm += "'"
-        seen.add(nm)
-        unique.append(Rule(nm, r.premises, r.conclusion))
-    return HilbertCalculus.of(sig, unique)
+        calc = merge(calc, HilbertCalculus.of(sig, rules))
+    return calc
 
 
 @dataclass(frozen=True)

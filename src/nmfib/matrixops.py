@@ -1,5 +1,5 @@
 """Constructions on (N)matrices: powers, strict products, translation images,
-canonical two-valued extensions, valuation merging, value purging.
+value purging.
 
 Power and product values are named by their printed tuples ("(a,b)"), kept in
 lexicographic order of the printed names, so constructed systems serialize
@@ -15,16 +15,8 @@ import itertools
 import os
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .semantics import Cell, MatrixError, Nmatrix, PartialValuation
-from .syntax import (
-    Formula,
-    Signature,
-    Translation,
-    canon_sort,
-    is_subformula_closed,
-    skeleton,
-    text,
-)
+from .semantics import Cell, MatrixError, Nmatrix
+from .syntax import Formula, Translation, Var
 
 __all__ = [
     "SizeCapExceeded",
@@ -32,9 +24,6 @@ __all__ = [
     "power",
     "strict_product",
     "translate_matrix",
-    "canonical_matrix",
-    "merge_valuations",
-    "CompatibilityError",
     "restrict_values",
     "matrices_equal",
 ]
@@ -44,14 +33,6 @@ DEFAULT_SIZE_CAP = 10000
 
 class SizeCapExceeded(MatrixError):
     """A construction would exceed the configured value-count cap."""
-
-
-class CompatibilityError(ValueError):
-    """Two component valuations disagree on designation somewhere."""
-
-    def __init__(self, phi: Formula):
-        super().__init__(f"valuations incompatible at {text(phi)}")
-        self.formula = phi
 
 
 def size_cap(explicit: Optional[int] = None) -> int:
@@ -146,8 +127,6 @@ def translate_matrix(matrix: Nmatrix, t: Translation) -> Nmatrix:
         raise MatrixError("translation image is only defined for deterministic matrices")
 
     def eval_body(phi: Formula, env: Mapping[str, str]) -> str:
-        from .syntax import Var
-
         if isinstance(phi, Var):
             return env[phi.name]
         args = tuple(eval_body(a, env) for a in phi.args)
@@ -169,62 +148,6 @@ def translate_matrix(matrix: Nmatrix, t: Translation) -> Nmatrix:
         name=f"{matrix.name}^t" if matrix.name else "",
         saturated=matrix.saturated,
     )
-
-
-def canonical_matrix(kind: str, conn: str, arity: int) -> Nmatrix:
-    """Two-valued matrix of a top-like, bottom-like, or unrestrained connective."""
-    outs = {"top": ("1",), "bottom": ("0",), "unrestrained": ("0", "1")}
-    if kind not in outs:
-        raise MatrixError(f"unknown canonical kind {kind!r}")
-    cells = {
-        args: outs[kind]
-        for args in itertools.product(("0", "1"), repeat=arity)
-    }
-    return Nmatrix(
-        Signature.of({conn: arity}),
-        ("0", "1"),
-        ("1",),
-        {conn: cells},
-        name=f"{kind}_{conn}",
-        saturated=kind != "bottom" or arity == 0,
-    )
-
-
-def merge_valuations(
-    v1: PartialValuation,
-    v2: PartialValuation,
-    gamma: Iterable[Formula],
-    product: Optional[Nmatrix] = None,
-) -> PartialValuation:
-    """Combine compatible component valuations into one over the product.
-
-    v1 must cover the sigma1-skeletons of gamma and v2 the sigma2-skeletons;
-    compatibility means they agree everywhere on designation.  The resulting
-    product valuation assigns each formula the pair of its skeleton values.
-    """
-    gamma = canon_sort(gamma)
-    if not is_subformula_closed(gamma):
-        raise MatrixError("merge domain is not closed under subformulas")
-    m1, m2 = v1.matrix, v2.matrix
-    if product is None:
-        product = strict_product(m1, m2)
-    s1, s2 = m1.signature, m2.signature
-    a1, a2 = v1.as_dict(), v2.as_dict()
-    out = {}
-    for phi in gamma:
-        k1, k2 = skeleton(phi, s1), skeleton(phi, s2)
-        if k1 not in a1:
-            raise MatrixError(f"first valuation misses skeleton {text(k1)}")
-        if k2 not in a2:
-            raise MatrixError(f"second valuation misses skeleton {text(k2)}")
-        left, right = a1[k1], a2[k2]
-        if (left in m1.designated) != (right in m2.designated):
-            raise CompatibilityError(phi)
-        out[phi] = _tuple_name((left, right))
-    merged = PartialValuation.of(product, out)
-    if not merged.check():
-        raise MatrixError("merged assignment does not respect the product cells")
-    return merged
 
 
 def restrict_values(matrix: Nmatrix, keep: Iterable[str]) -> Nmatrix:

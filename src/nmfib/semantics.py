@@ -37,13 +37,16 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from . import bundled
+from .boolfun import classify
 from .syntax import (
     App,
     Formula,
     Signature,
+    SignatureError,
     apply_substitution,
     canon_key,
     canon_sort,
+    check_well_formed,
     is_subformula_closed,
     subformula_closure,
     text,
@@ -187,12 +190,7 @@ class Nmatrix:
     def deterministic(self) -> bool:
         return all(len(out) == 1 for cells in self.full_interp().values() for out in cells.values())
 
-    def unitary(self) -> bool:
-        return len(self.designated) == 1
-
     def check_formulas(self, phis: Iterable[Formula]) -> None:
-        from .syntax import SignatureError, check_well_formed
-
         for phi in phis:
             try:
                 check_well_formed(phi, self.signature)
@@ -716,8 +714,6 @@ def dump_system(matrix: Nmatrix) -> dict:
 
 def two_valued_matrix(fragment, name: str = "", saturated: Optional[bool] = None) -> Nmatrix:
     """The classical two-valued matrix of a fragment of Boolean connectives."""
-    from .boolfun import classify
-
     interp = {}
     for conn, f in fragment.functions:
         cells = {}

@@ -1,4 +1,4 @@
-"""Signatures, formulas, parsing/printing, substitutions, translations, skeletons.
+"""Signatures, formulas, parsing/printing, substitutions, translations.
 
 Formulas are plain trees over a ranked alphabet of connectives.  The text
 grammar is deliberately minimal:
@@ -41,14 +41,8 @@ __all__ = [
     "parse",
     "Substitution",
     "apply_substitution",
-    "compose_substitutions",
     "Translation",
-    "identity_translation",
-    "union_translations",
-    "apply_translation",
     "params",
-    "skeleton_var",
-    "skeleton",
     "fresh_var",
 ]
 
@@ -389,14 +383,6 @@ def interned_instance(sigma: Substitution, phi: Formula) -> Optional[Formula]:
     return _pool.get((phi.head, tuple(args)))  # type: ignore[return-value]
 
 
-def compose_substitutions(sigma: Substitution, tau: Substitution) -> dict[str, Formula]:
-    """sigma-then-tau: p maps to tau applied to sigma(p)."""
-    out = {p: apply_substitution(tau, phi) for p, phi in sigma.items()}
-    for p, phi in tau.items():
-        out.setdefault(p, phi)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Translations
 # ---------------------------------------------------------------------------
@@ -434,51 +420,3 @@ class Translation:
             if n == name:
                 return b
         raise SignatureError(f"connective {name!r} not in translation domain")
-
-
-def identity_translation(sig: Signature) -> Translation:
-    return Translation.of(sig, sig, {name: app(name, params(k)) for name, k in sig.connectives})
-
-
-def union_translations(t1: Translation, t2: Translation) -> Translation:
-    if not t1.source.disjoint_from(t2.source):
-        raise SignatureError("translation sources are not disjoint")
-    return Translation.of(
-        t1.source.union(t2.source),
-        t1.target.union(t2.target),
-        dict(t1.mapping) | dict(t2.mapping),
-    )
-
-
-def apply_translation(t: Translation, phi: Formula) -> Formula:
-    if isinstance(phi, Var):
-        return phi
-    k = t.source.arity(phi.head)
-    if k is None:
-        raise SignatureError(f"connective {phi.head!r} not in translation domain")
-    body = t.body(phi.head)
-    sigma = {f"p{i + 1}": apply_translation(t, a) for i, a in enumerate(phi.args)}
-    return apply_substitution(sigma, body)
-
-
-# ---------------------------------------------------------------------------
-# Skeletons
-# ---------------------------------------------------------------------------
-
-# Monolith variables carry a marker character that cannot occur in parsed
-# identifiers, so they can never collide with user variables.
-_SKEL_PREFIX = "x@"
-
-
-def skeleton_var(phi: Formula) -> Var:
-    """The canonical monolith variable x_phi for an alien-headed compound."""
-    return var(_SKEL_PREFIX + text(phi))
-
-
-def skeleton(phi: Formula, sig: Signature) -> Formula:
-    """Replace maximal subformulas whose head is alien to sig by monoliths."""
-    if isinstance(phi, Var):
-        return phi
-    if phi.head in sig:
-        return app(phi.head, tuple(skeleton(a, sig) for a in phi.args))
-    return skeleton_var(phi)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from nmfib import bundled
 from nmfib.boolfun import (
     BooleanFunction,
     FragmentSpec,
@@ -24,7 +25,6 @@ from nmfib.boolfun import (
     standard_function,
     threshold_function,
     load_fragment,
-    dump_fragment,
 )
 from nmfib.syntax import apply_substitution, text, var
 
@@ -249,11 +249,20 @@ def test_short_list_memberships_rederived_by_closure():
 
 
 def test_fragment_files_round_trip():
-    frag = standard_fragment("or", "neg")
-    blob = dump_fragment(frag)
-    assert load_fragment(blob) == frag
+    # every bundled fragment file is given back by its loaded tables
+    for stem in bundled.stems("fragment"):
+        entries = bundled.read(f"{stem}.json", "fragment")["connectives"]
+        frag = load_fragment({"connectives": entries})
+        back = [{"name": name, "arity": f.arity, "table": f.to_string()} for name, f in frag.functions]
+        assert back == sorted(entries, key=lambda e: e["name"]), stem
     with pytest.raises(ValueError):
         load_fragment({"connectives": []})
+
+
+def test_separation_degree_lifts_0_place_constants():
+    for value in (0, 1):
+        assert separation_degree(BooleanFunction(0, value)) == separation_degree(BooleanFunction(1, 0b11 * value))
+    assert separation_degree(BooleanFunction(0, 1)) == 0 and separation_degree(BooleanFunction(0, 0)) == math.inf
 
 
 def test_fragment_clone_membership_with_constants():

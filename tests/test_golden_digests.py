@@ -86,15 +86,5 @@ def test_cli_output_matches_recorded_digests():
     assert not changed, f"{len(changed)} runs changed output, e.g. {changed[:5]}"
 
 
-def test_runs_cover_every_pair_catalog_id_and_readme_example():
-    names = [shlex.join(argv) for argv in runs()]
-    assert len(names) == len(set(names))
-    assert len(bundled.stems("fragment")) == 21 and len(fibring.CATALOG_IDS) == 12
-    assert sum(name.startswith("decide-recovery") for name in names) >= 441
-    readme = {argv[0] for argv in readme_commands()}
-    assert {"entail", "clone", "witness", "certify", "derive", "kdet", "fc-recovery", "product", "power",
-            "translate"} <= readme
-
-
 if __name__ == "__main__":
     DIGESTS.write_text(json.dumps(record_all(), indent=0, sort_keys=True) + "\n", encoding="utf-8")

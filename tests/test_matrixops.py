@@ -13,11 +13,8 @@ from nmfib.fibring import (
     truth_preserving_bot_matrix,
 )
 from nmfib.matrixops import (
-    CompatibilityError,
     SizeCapExceeded,
-    canonical_matrix,
     matrices_equal,
-    merge_valuations,
     power,
     restrict_values,
     strict_product,
@@ -28,19 +25,19 @@ from nmfib.semantics import (
     Holds,
     MatrixError,
     Nmatrix,
-    PartialValuation,
     entails,
     enumerate_partial_valuations,
     two_valued_matrix,
 )
 from nmfib.syntax import (
+    App,
     Signature,
+    SignatureError,
     Translation,
     app,
+    apply_substitution,
+    params,
     parse,
-    skeleton,
-    subformula_closure,
-    var,
 )
 
 
@@ -168,9 +165,9 @@ def test_translate_matrix_examples():
     assert mc.cell("coimp", ("1", "0")) == ("0",)
     assert mc.cell("coimp", ("1", "1")) == ("0",)
 
-    # identity translation returns an identical matrix
-    ident = translate_matrix(m, __import__("nmfib.syntax", fromlist=["identity_translation"]).identity_translation(tgt))
-    assert matrices_equal(ident, m)
+    # the identity translation returns an identical matrix
+    ident = Translation.of(tgt, tgt, {name: app(name, params(k)) for name, k in tgt.connectives})
+    assert matrices_equal(translate_matrix(m, ident), m)
 
     # majority through the threshold scheme over and/or
     frag2 = standard_fragment("and", "or", "top")
@@ -186,7 +183,7 @@ def test_translate_matrix_examples():
 
 
 def test_translate_matrix_refuses_nondeterministic():
-    unrest = canonical_matrix("unrestrained", "c", 1)
+    unrest = Nmatrix(Signature.of({"c": 1}), ("0", "1"), ("1",), {"c": {("0",): ("0", "1"), ("1",): ("0", "1")}})
     t = Translation.of(
         Signature.of({"d": 1}), unrest.signature, {"d": parse("c(p1)", unrest.signature)}
     )
@@ -204,6 +201,21 @@ def test_translation_image_commutes_with_powers():
     assert matrices_equal(lhs, rhs)
 
 
+def union_translations(t1, t2):
+    """The translation acting as t1 on its sources and as t2 on its own."""
+    if not t1.source.disjoint_from(t2.source):
+        raise SignatureError("translation sources are not disjoint")
+    return Translation.of(t1.source.union(t2.source), t1.target.union(t2.target), dict(t1.mapping) | dict(t2.mapping))
+
+
+def apply_translation(t, phi):
+    """phi with each connective replaced by its derived connective under t."""
+    if not isinstance(phi, App):
+        return phi
+    sigma = {f"p{i + 1}": apply_translation(t, a) for i, a in enumerate(phi.args)}
+    return apply_substitution(sigma, t.body(phi.head))
+
+
 def test_translation_transfer_on_samples():
     # entailment between translated fragments transfers to translated sequents
     rng = random.Random(9)
@@ -213,8 +225,6 @@ def test_translation_transfer_on_samples():
     m1, m2 = two_valued_matrix(frag1), two_valued_matrix(frag2)
     t1 = Translation.of(src1, frag1.signature, {"coimp": parse("neg(imp(p2,p1))", frag1.signature)})
     t2 = Translation.of(src2, frag2.signature, {"vel": parse("or(p1,p2)", frag2.signature)})
-    from nmfib.syntax import apply_translation, union_translations
-
     t = union_translations(t1, t2)
     translated = strict_product(power(translate_matrix(m1, t1), 2), power(translate_matrix(m2, t2), 2))
     base = strict_product(power(m1, 2), power(m2, 2))
@@ -230,76 +240,6 @@ def test_translation_transfer_on_samples():
             assert bool(
                 entails(base, [apply_translation(t, g) for g in gamma], apply_translation(t, phi))
             )
-
-
-def test_canonical_matrices():
-    top = canonical_matrix("top", "c", 2)
-    assert all(top.cell("c", args) == ("1",) for args in itertools.product(("0", "1"), repeat=2))
-    bot = canonical_matrix("bottom", "bt", 0)
-    assert bot.cell("bt", ()) == ("0",)
-    unrest = canonical_matrix("unrestrained", "c", 1)
-    assert set(unrest.cell("c", ("0",))) == {"0", "1"}
-    with pytest.raises(MatrixError):
-        canonical_matrix("weird", "c", 1)
-
-
-def test_merge_valuations_worked_example():
-    # the ternary-parity with two falsums countermodel, built componentwise
-    frag1 = standard_fragment("xor3")
-    frag2 = FragmentSpec.of(
-        {"bota": standard_function("bot"), "botb": standard_function("bot")}
-    )
-    m1 = power(two_valued_matrix(frag1), 3)
-    m2 = two_valued_matrix(frag2)
-    sig = frag1.signature.union(frag2.signature)
-    gamma = subformula_closure([parse("xor3(p,bota,botb)", sig)])
-    s1 = frag1.signature
-    s2 = frag2.signature
-    v1 = PartialValuation.of(
-        m1,
-        {
-            skeleton(parse("p", sig), s1): "(0,1,1)",
-            skeleton(parse("bota", sig), s1): "(1,0,0)",
-            skeleton(parse("botb", sig), s1): "(0,0,0)",
-            skeleton(parse("xor3(p,bota,botb)", sig), s1): "(1,1,1)",
-        },
-    )
-    v2 = PartialValuation.of(
-        m2,
-        {
-            skeleton(parse("p", sig), s2): "0",
-            skeleton(parse("bota", sig), s2): "0",
-            skeleton(parse("botb", sig), s2): "0",
-            skeleton(parse("xor3(p,bota,botb)", sig), s2): "1",
-        },
-    )
-    merged = merge_valuations(v1, v2, gamma)
-    assert merged.check()
-    assert merged.designates(parse("xor3(p,bota,botb)", sig))
-    assert not merged.designates(parse("p", sig))
-
-    # incompatible designation is reported at the offending formula
-    v2bad = PartialValuation.of(
-        m2,
-        {
-            skeleton(parse("p", sig), s2): "1",
-            skeleton(parse("bota", sig), s2): "0",
-            skeleton(parse("botb", sig), s2): "0",
-            skeleton(parse("xor3(p,bota,botb)", sig), s2): "1",
-        },
-    )
-    with pytest.raises(CompatibilityError):
-        merge_valuations(v1, v2bad, gamma)
-
-
-def test_merge_valuations_variable_only():
-    m1 = two_valued_matrix(standard_fragment("and"))
-    m2 = two_valued_matrix(standard_fragment("or"))
-    p = var("p")
-    v1 = PartialValuation.of(m1, {p: "1"})
-    v2 = PartialValuation.of(m2, {p: "1"})
-    merged = merge_valuations(v1, v2, [p])
-    assert merged.value(p) == "(1,1)"
 
 
 def test_restrict_values():

@@ -5,7 +5,7 @@ import pytest
 
 from nmfib.boolfun import BooleanFunction, FragmentSpec, standard_fragment
 from nmfib.calculus import Rule, builtin_calculus
-from nmfib.matrixops import canonical_matrix, power, strict_product
+from nmfib.matrixops import power, strict_product
 from nmfib.semantics import (
     Fails,
     Holds,
@@ -47,7 +47,7 @@ def test_matrix_validation():
         sig, ("0", "1"), ("0", "1"), {"neg": {("0",): ("1",), ("1",): ("0",)}},
         allow_degenerate=True,
     )
-    assert m.deterministic() and not m.unitary()
+    assert m.deterministic() and m.designated == {"0", "1"}
 
 
 def test_enumeration_counts():
@@ -56,7 +56,7 @@ def test_enumeration_counts():
     assert len(vals) == 2
     assert [(v.value(p), v.value(np_)) for v in vals] == [("0", "1"), ("1", "0")]
 
-    unrest = canonical_matrix("unrestrained", "c", 1)
+    unrest = Nmatrix(Signature.of({"c": 1}), ("0", "1"), ("1",), {"c": {("0",): ("0", "1"), ("1",): ("0", "1")}})
     q = parse("p", unrest.signature)
     cq = parse("c(p)", unrest.signature)
     assert len(list(enumerate_partial_valuations(unrest, [q, cq]))) == 4

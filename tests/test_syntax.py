@@ -8,19 +8,11 @@ from nmfib.syntax import (
     Translation,
     app,
     apply_substitution,
-    apply_translation,
-    compose_substitutions,
     depth,
-    identity_translation,
-    is_subformula_closed,
     parse,
     params,
-    skeleton,
-    skeleton_var,
-    subformula_closure,
     subformulas,
     text,
-    union_translations,
     var,
     variables,
 )
@@ -93,102 +85,12 @@ def test_depth():
     assert len(memo) == 5001 and depth(chain.args[0], memo) == 4999
 
 
-@settings(max_examples=50, deadline=None)
-@given(formulas(), formulas(), formulas())
-def test_substitution_composition_associates(phi, a, b):
-    sigma = {"p": a}
-    tau = {"q": b, "p": var("p")}
-    lhs = apply_substitution(tau, apply_substitution(sigma, phi))
-    rhs = apply_substitution(compose_substitutions(sigma, tau), phi)
-    assert lhs == rhs
-
-
-def test_skeleton_examples():
-    sig_or = Signature.of({"or": 2})
-    sig_neg = Signature.of({"neg": 1})
-    phi = parse("or(neg(or(p,q)),r)", SIG)
-    skel = skeleton(phi, sig_or)
-    assert skel == app("or", (skeleton_var(parse("neg(or(p,q))", SIG)), var("r")))
-    assert skeleton(parse("or(p,q)", SIG), sig_or) == parse("or(p,q)", SIG)
-    psi = parse("neg(or(p,q))", SIG)
-    assert skeleton(psi, sig_neg) == app("neg", (skeleton_var(parse("or(p,q)", SIG)),))
-
-
-@settings(max_examples=60, deadline=None)
-@given(formulas())
-def test_skeleton_subformula_inclusion(phi):
-    # sub(skel(phi)) is contained in skel(sub(phi)); equality when no head is alien
-    sig_part = Signature.of({"or": 2, "bot": 0})
-    skel = skeleton(phi, sig_part)
-    lhs = set(subformulas(skel))
-    rhs = {skeleton(psi, sig_part) for psi in subformulas(phi)}
-    assert lhs <= rhs
-    assert skeleton(phi, SIG) == phi
-
-
-@settings(max_examples=60, deadline=None)
-@given(formulas())
-def test_skeleton_closure_of_closed_sets(phi):
-    sig_part = Signature.of({"and": 2, "neg": 1})
-    closed = subformula_closure([phi])
-    skels = {skeleton(psi, sig_part) for psi in closed}
-    assert is_subformula_closed(skels)
-
-
-def test_skeleton_vars_are_stable():
-    phi = parse("or(p,q)", SIG)
-    assert skeleton_var(phi) is skeleton_var(parse("or(p,q)", SIG))
-    assert skeleton_var(phi) != skeleton_var(parse("or(q,p)", SIG))
-
-
-def test_translation_examples():
-    # coimplication via negation and implication
-    target = Signature.of({"neg": 1, "imp": 2})
-    t = Translation.of(
-        Signature.of({"coimp": 2}),
-        target,
-        {"coimp": parse("neg(imp(p2,p1))", target)},
-    )
-    phi = app("coimp", (var("a"), var("b")))
-    assert text(apply_translation(t, phi)) == "neg(imp(b,a))"
-
-    ident = identity_translation(SIG)
-    psi = parse("or(and(p,q),neg(bot))", SIG)
-    assert apply_translation(ident, psi) == psi
-
-    # a two-place conjunction-threshold unfolding right-associatively
-    tgt = Signature.of({"and": 2})
-    t2 = Translation.of(Signature.of({"t22": 2}), tgt, {"t22": parse("and(p1,p2)", tgt)})
-    phi2 = app("t22", (var("p"), app("t22", (var("q"), var("r")))))
-    assert text(apply_translation(t2, phi2)) == "and(p,and(q,r))"
-
-
 def test_translation_validation():
     tgt = Signature.of({"neg": 1})
     with pytest.raises(SignatureError):
         Translation.of(Signature.of({"c": 1}), tgt, {"c": parse("neg(p2)", tgt)})
     with pytest.raises(SignatureError):
         Translation.of(Signature.of({"c": 1}), tgt, {})
-
-
-def test_union_translations_requires_disjoint_sources():
-    t1 = identity_translation(Signature.of({"or": 2}))
-    t2 = identity_translation(Signature.of({"or": 2}))
-    with pytest.raises(SignatureError):
-        union_translations(t1, t2)
-    t3 = identity_translation(Signature.of({"and": 2}))
-    both = union_translations(t1, t3)
-    assert set(both.source.names()) == {"or", "and"}
-
-
-@settings(max_examples=50, deadline=None)
-@given(formulas())
-def test_translation_commutes_with_renamings(phi):
-    t = identity_translation(SIG)
-    sigma = {"p": var("x"), "q": var("y"), "r": var("r")}
-    assert apply_translation(t, apply_substitution(sigma, phi)) == apply_substitution(
-        sigma, apply_translation(t, phi)
-    )
 
 
 def test_signature_operations():
