@@ -45,7 +45,6 @@ __all__ = [
     "in_clone_biimp",
     "separation_degree",
     "FragmentSpec",
-    "fragment_functions_at_arity_one",
     "fragment_in_clone",
     "CompletenessVerdict",
     "functionally_complete",
@@ -298,14 +297,6 @@ class FragmentSpec:
         return FragmentSpec.of(mine)
 
 
-def fragment_functions_at_arity_one(frag: FragmentSpec) -> list[tuple[str, BooleanFunction]]:
-    """Member functions with 0-place connectives lifted to unary constants."""
-    out = []
-    for name, f in frag.functions:
-        out.append((name, _constant(1, f.bits & 1) if f.arity == 0 else f))
-    return out
-
-
 def fragment_in_clone(frag: FragmentSpec, clone: str) -> bool:
     """Membership of a whole fragment in one of the closed-form clones.
 
@@ -329,7 +320,7 @@ class CompletenessVerdict:
 
 def functionally_complete(frag: FragmentSpec) -> CompletenessVerdict:
     """Post's criterion: complete iff each of the five maximal clones is escaped."""
-    preds = [post_predicates(f) for _, f in fragment_functions_at_arity_one(frag)]
+    preds = [post_predicates(f) for _, f in frag.functions]
     preserved = tuple(name for name, field in _COATOMS if all(getattr(p, field) for p in preds))
     if preserved:
         return CompletenessVerdict(False, preserved[0], preserved)

@@ -67,10 +67,6 @@ class Rule:
     def of(name: str, premises: Iterable[Formula], conclusion: Formula) -> "Rule":
         return Rule(name, tuple(premises), conclusion)
 
-    def schematic_variables(self) -> tuple[str, ...]:
-        names = {v.name for phi in (*self.premises, self.conclusion) for v in variables(phi)}
-        return tuple(sorted(names))
-
     def __str__(self) -> str:
         prem = ", ".join(text(p) for p in self.premises)
         return f"{self.name}: {prem} / {text(self.conclusion)}" if prem else f"{self.name}: |- {text(self.conclusion)}"

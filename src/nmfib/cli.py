@@ -10,6 +10,7 @@ NoneFound), 1 for errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -19,19 +20,7 @@ from typing import Optional
 from . import boolfun, bundled, calculus, fibring, matrixops, semantics, syntax
 
 STANDARD_SIGNATURE = syntax.Signature.of(
-    {
-        "top": 0,
-        "bot": 0,
-        "neg": 1,
-        "and": 2,
-        "or": 2,
-        "imp": 2,
-        "coimp": 2,
-        "iff": 2,
-        "xor": 2,
-        "xor3": 3,
-        "if3": 3,
-    }
+    {name: k for name, (k, _) in (boolfun.PRIMITIVE_TABLES | boolfun.DERIVED_TRANSLATIONS).items()}
 )
 
 
@@ -106,35 +95,16 @@ def cmd_classify(args) -> int:
         parts.append("very significant")
     if cls.truth_preserving:
         parts.append("truth-preserving")
-    payload = {
-        "arity": args.arity,
-        "table": args.table,
-        "top_like": cls.top_like,
-        "bottom_like": cls.bottom_like,
-        "projective_indices": list(cls.projective_indices),
-        "projection_conjunction": list(cls.projection_conjunction)
-        if cls.projection_conjunction is not None
-        else None,
-        "significant": cls.significant,
-        "very_significant": cls.very_significant,
-        "truth_preserving": cls.truth_preserving,
-    }
+    payload = {"arity": args.arity, "table": args.table, **dataclasses.asdict(cls)}
     if post is not None:
-        payload["post"] = {
-            "preserves0": post.preserves0,
-            "preserves1": post.preserves1,
-            "monotone": post.monotone,
-            "affine": post.affine,
-            "self_dual": post.self_dual,
-        }
+        payload["post"] = dataclasses.asdict(post)
     _emit(args, payload, ["; ".join(parts) if parts else "significant"])
     return 0
 
 
 def cmd_clone(args) -> int:
     frag = _load_fragment(args.fragment)
-    funcs = [f for _, f in boolfun.fragment_functions_at_arity_one(frag)]
-    closure = boolfun.clone_closure_at_arity(funcs, args.arity)
+    closure = boolfun.clone_closure_at_arity([f for _, f in frag.functions], args.arity)
     tables = sorted(f.to_string() for f in closure)
     payload = {"arity": args.arity, "count": len(tables), "tables": tables}
     lines = [f"{len(tables)} functions at arity {args.arity}"]
@@ -485,19 +455,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (
-        syntax.ParseError,
-        syntax.SignatureError,
-        semantics.MatrixError,
-        KeyError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (KeyError, ValueError, OSError) as exc:
+        # ParseError, SignatureError and MatrixError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RecursionError:
-        # the formula code walks formulas recursively, so a deep enough
-        # formula exhausts the interpreter stack
+        # parse, the recursive-descent parser, is the first walk that a
+        # deep enough formula takes past the interpreter stack
         print("error: formula too deep (nesting exceeds the recursion limit)", file=sys.stderr)
         return 1
 

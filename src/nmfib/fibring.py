@@ -38,7 +38,6 @@ from .boolfun import (
     FragmentSpec,
     classify,
     find_expression,
-    fragment_functions_at_arity_one,
     fragment_in_clone,
     functionally_complete,
     load_fragment,
@@ -68,6 +67,7 @@ from .semantics import (
     entails,
     enumerate_partial_valuations,
     filter_valuations_by_rules,
+    load_system,
     logically_equivalent,
     respects_rule,
     two_valued_matrix,
@@ -551,7 +551,7 @@ def decide_fc_recovery(f1: FragmentSpec, f2: FragmentSpec) -> FcOutcome:
     for up_idx, up_side, partner in ((1, f1, f2), (2, f2, f1)):
         if not fragment_in_clone(up_side, "top"):
             continue
-        funcs = [f for _, f in fragment_functions_at_arity_one(partner)]
+        funcs = [f for _, f in partner.functions]
         if all(post_predicates(f).self_dual for f in funcs):
             return FcOutcome("Recovered", "D", up_idx)
         degree = min(separation_degree(f) for f in funcs)
@@ -617,15 +617,14 @@ def k_determinedness_probe(
     f2: FragmentSpec,
     k: int,
     n: int = 3,
-    universe_depth: int = 1,
-    step_cap: int = 4000,
 ):
     """Refute k-determinedness of the combination, if a known family applies.
 
     A violation is a pair (Gamma, phi) with Gamma not entailing phi in the
     n-power product, while every substitution into {p1..pk} makes the
-    instance Hilbert-derivable in the merged calculi.  Finding one certifies
-    the combined logic has no k-value non-deterministic semantics.
+    instance Hilbert-derivable in the merged calculi (searched at universe
+    depth 1 with a step cap of 4000).  Finding one certifies the combined
+    logic has no k-value non-deterministic semantics.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -642,7 +641,7 @@ def k_determinedness_probe(
             sigma = dict(zip(names, combo))
             gamma_s = [apply_substitution(sigma, g) for g in gamma]
             phi_s = apply_substitution(sigma, phi)
-            found = derive(calc, gamma_s, phi_s, universe_depth=universe_depth, step_cap=step_cap)
+            found = derive(calc, gamma_s, phi_s, universe_depth=1, step_cap=4000)
             if not (found and verify(found.derivation, calc, gamma_s, phi_s)):
                 all_derivable = False
                 break
@@ -722,15 +721,9 @@ def standard_saturation_pools(name: str, f: BooleanFunction) -> tuple[list[Formu
 # ---------------------------------------------------------------------------
 
 def three_valued_negation_matrix(name: str = "neg") -> Nmatrix:
-    """Saturated 3-valued matrix for a classical-negation-table connective."""
-    return Nmatrix(
-        Signature.of({name: 1}),
-        ("0", "1/2", "1"),
-        ("1",),
-        {name: {("0",): ("1",), ("1/2",): ("1/2",), ("1",): ("0",)}},
-        name=f"M3_{name}",
-        saturated=True,
-    )
+    """Saturated 3-valued matrix for a classical-negation-table connective,
+    read from the bundled m3_<name>.json."""
+    return load_system(bundled.read(f"m3_{name}.json", "system", builtin=True))
 
 
 @dataclass(frozen=True)

@@ -573,11 +573,10 @@ def filter_valuations_by_rules(
     rules: Sequence,
     premises: Iterable[Formula],
     conclusion: Formula,
-    universe: Optional[Iterable[Formula]] = None,
     saturated: bool = False,
 ) -> FilteredVerdict:
     """Entailment over the partial valuations respecting every rule within
-    the universe.
+    the universe, the subformulas of the sequent.
 
     The result is semantically exact when the caller declares the matrix
     saturated or when the rules are all axioms; otherwise it is tagged as a
@@ -586,9 +585,7 @@ def filter_valuations_by_rules(
     premises = canon_sort(premises)
     matrix.check_formulas(premises + [conclusion])
     exact = saturated or all(not r.premises for r in rules)
-    if universe is None:
-        universe = subformula_closure(premises + [conclusion])
-    universe = canon_sort(universe)
+    universe = subformula_closure(premises + [conclusion])
 
     instances = []
     for rule in rules:

@@ -30,7 +30,6 @@ __all__ = [
     "interned_instance",
     "text",
     "depth",
-    "size",
     "subformulas",
     "variables",
     "subformula_closure",
@@ -187,10 +186,6 @@ def depth(phi: Formula, memo: Optional[dict[Formula, int]] = None) -> int:
     return memo[phi]
 
 
-def size(phi: Formula) -> int:
-    return canon_key(phi)[0]
-
-
 def canon_key(phi: Formula) -> tuple:
     """Sort key giving the canonical (reproducible) order on formulas:
     (size, text, is-App).
@@ -273,15 +268,16 @@ def check_well_formed(phi: Formula, sig: Signature) -> None:
         stack.extend(reversed(psi.args))
 
 
-def fresh_var(taken: Iterable[Formula], stem: str = "w") -> Var:
-    """A variable whose name occurs nowhere in the given formulas."""
+def fresh_var(taken: Iterable[Formula]) -> Var:
+    """A variable, w or w1, w2, ..., whose name occurs nowhere in the given
+    formulas."""
     used = {v.name for phi in taken for v in variables(phi)}
-    if stem not in used:
-        return var(stem)
+    if "w" not in used:
+        return var("w")
     i = 1
-    while f"{stem}{i}" in used:
+    while f"w{i}" in used:
         i += 1
-    return var(f"{stem}{i}")
+    return var(f"w{i}")
 
 
 # ---------------------------------------------------------------------------

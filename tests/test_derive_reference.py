@@ -35,7 +35,7 @@ from nmfib.calculus import (
     verify,
 )
 from nmfib.semantics import entails, two_valued_matrix
-from nmfib.syntax import Formula, Var, apply_substitution, app, canon_sort, parse, var
+from nmfib.syntax import Formula, Var, apply_substitution, app, canon_sort, parse, var, variables
 
 
 def _reference_match(pattern: Formula, target: Formula, sigma: dict[str, Formula]) -> Optional[dict[str, Formula]]:
@@ -54,6 +54,10 @@ def _reference_match(pattern: Formula, target: Formula, sigma: dict[str, Formula
             return None
         sigma = nxt
     return sigma
+
+
+def _schematic_variables(rule: Rule) -> set[str]:
+    return {v.name for phi in (*rule.premises, rule.conclusion) for v in variables(phi)}
 
 
 def reference_derive(
@@ -86,7 +90,7 @@ def reference_derive(
     def fire(rule: Rule) -> Iterator[tuple[dict[str, Formula], tuple[int, ...]]]:
         def match_from(i: int, sigma: dict[str, Formula], used: tuple[int, ...]) -> Iterator:
             if i == len(rule.premises):
-                if set(rule.schematic_variables()) <= set(sigma):
+                if _schematic_variables(rule) <= set(sigma):
                     if apply_substitution(sigma, rule.conclusion) in in_universe:
                         yield sigma, used
                     return

@@ -11,7 +11,6 @@ from nmfib.boolfun import (
     BooleanFunction,
     FragmentSpec,
     clone_closure_at_arity,
-    fragment_functions_at_arity_one,
     functionally_complete,
     standard_fragment,
     standard_function,
@@ -285,11 +284,17 @@ def test_fc_recovery_names_clones_past_the_closure_arity():
     assert decide_fc_recovery(top, standard_fragment("thr_3_2", "coimp")) == FcOutcome("Recovered", "T0_2", 1)
 
 
+def _lifted(frag: FragmentSpec) -> FragmentSpec:
+    """frag with each 0-place connective replaced by its unary constant."""
+    return FragmentSpec.of({n: BooleanFunction(1, 0b11 * f.bits) if f.arity == 0 else f for n, f in frag.functions})
+
+
 def _fc_clone_by_closure(frag: FragmentSpec):
     """The clone of frag among D, T0_inf and T0_1..T0_3 by mutual generator
     membership under clone_closure_at_arity: the frag's members lie in the
     closure of the clone's generators and the generators in the frag's."""
-    funcs = [f for _, f in fragment_functions_at_arity_one(frag)]
+    # closures run at arity >= 1, so 0-place members enter as unary constants
+    funcs = [f for _, f in _lifted(frag).functions]
     targets = [("D", ("thr_3_2", "neg")), ("T0_inf", ("coimp",))]
     targets += [(f"T0_{k}", (f"thr_{k + 1}_{k}", "coimp")) for k in (1, 2, 3)]
     for clone, names in targets:
@@ -299,6 +304,37 @@ def _fc_clone_by_closure(frag: FragmentSpec):
         ):
             return clone
     return None
+
+
+def _fc_recovery_or_error(f1: FragmentSpec, f2: FragmentSpec):
+    try:
+        return decide_fc_recovery(f1, f2)
+    except MatrixError as exc:
+        return str(exc)
+
+
+def test_0_place_connectives_read_as_their_constants():
+    # the unary-constant lift is the oracle: closures, Post's criterion and
+    # fc-recovery see a 0-place connective exactly as its unary constant
+    for stem in bundled.stems("fragment"):
+        frag = load_fragment(bundled.read(f"{stem}.json", "fragment"))
+        funcs, lifted = [f for _, f in frag.functions], [f for _, f in _lifted(frag).functions]
+        for k in (1, 2, 3):
+            assert clone_closure_at_arity(funcs, k) == clone_closure_at_arity(lifted, k), (stem, k)
+    pool = [BooleanFunction(k, bits) for k in (0, 1, 2) for bits in range(1 << (1 << k))]
+    assert len(pool) == 22
+    decided_with_constant = 0
+    for f, g in itertools.product(pool, repeat=2):
+        f1, f2 = FragmentSpec.of({"a": f}), FragmentSpec.of({"b": g})
+        union = f1.union(f2)
+        assert functionally_complete(union) == functionally_complete(_lifted(union)), (f, g)
+        outcome = _fc_recovery_or_error(f1, f2)
+        assert outcome == _fc_recovery_or_error(_lifted(f1), _lifted(f2)), (f, g)
+        decided_with_constant += isinstance(outcome, FcOutcome) and 0 in (f.arity, g.arity)
+    assert decided_with_constant == 8
+    # the falsum keeps this self-dual member's clone out of D (arity 2 has no such member)
+    mixed = FragmentSpec.of({"bot": BooleanFunction(0, 0), "m": BooleanFunction.from_string("01001101", 3)})
+    assert decide_fc_recovery(mixed, standard_fragment("top")) == FcOutcome("Recovered", "T0_1", 2)
 
 
 def test_fc_recovery_agrees_with_closure():
@@ -548,8 +584,6 @@ def test_bundled_system_files_load():
     # each golden matrix equals the constructor that claims to produce it
     f_coimp, f_bot = catalog_fragments("coimp_bot")
     golden = {
-        "m3_neg.json": three_valued_negation_matrix("neg"),
-        "m3_sim.json": three_valued_negation_matrix("sim"),
         "two_neg_product.json": strict_product(three_valued_negation_matrix("neg"), three_valued_negation_matrix("sim")),
         "neg_bot_product.json": strict_product(three_valued_negation_matrix("neg"), two_valued_matrix(f_bot)),
         "imp_bot_m4.json": truth_preserving_bot_matrix(standard_fragment("imp"), "bot"),
