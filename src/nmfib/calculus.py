@@ -11,6 +11,7 @@ instantiation universe and a step cap and never claims non-derivability.
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -223,38 +224,25 @@ def _match(pattern: Formula, target: Formula, sigma: dict[str, Formula]) -> Opti
     return sigma
 
 
-def _universe(calc: HilbertCalculus, base: Sequence[Formula], depth_bound: int, cap: int) -> list[Formula]:
+def _universe(calc: HilbertCalculus, base: Sequence[Formula], depth_bound: int, cap: int) -> dict[Formula, None]:
     """Instantiation pool: subformulas of the sequent plus a distinguished
     fresh variable, closed up to the depth bound under the calculus
-    connectives, in (depth, text) order.  The cap truncates breadth-first,
-    deepest candidates dropped first, so enlarging the bounds only appends."""
-    pool = list(subformula_closure(base))
-    pool.append(fresh_var(base))
-    # the (depth, text) sort key of every formula in the pool, each built
-    # once from the keys of its arguments
+    connectives, as the keys of a dict, in the order generated.  Each round
+    combines the members so far in (depth, text) order, and the cap
+    truncates breadth-first, deepest candidates dropped first, so enlarging
+    the bounds only appends; the last round's members are never sorted."""
+    members = dict.fromkeys([*subformula_closure(base), fresh_var(base)])
     depths: dict[Formula, int] = {}
-    keys = {f: (depth(f, depths), text(f)) for f in pool}
     for _ in range(depth_bound):
-        if len(keys) > cap:
+        if len(members) > cap:
             break
-        grown = sorted(keys, key=keys.__getitem__)
+        grown = sorted(members, key=lambda f: (depth(f, depths), text(f)))
         for conn, arity in calc.signature.connectives:
             for args in itertools.product(grown, repeat=arity):
-                candidate = app(conn, args)
-                if candidate not in keys:
-                    keys[candidate] = (
-                        (1 + max(keys[a][0] for a in args), f"{conn}({','.join(keys[a][1] for a in args)})")
-                        if args
-                        else (0, conn)
-                    )
-                if len(keys) > cap:
-                    break
-            if len(keys) > cap:
-                break
-    return sorted(keys, key=keys.__getitem__)
-
-
-_step_number = itemgetter(1)
+                members[app(conn, args)] = None
+                if len(members) > cap:
+                    return members
+    return members
 
 
 def _names(phi: Formula) -> set[str]:
@@ -328,8 +316,8 @@ def derive(
     conclusion is kept only when it lies in the universe (which always
     contains the goal and every subformula of the sequent).  Schematic
     variables left free by the premise match are bound by matching the
-    partially instantiated conclusion against universe members.
-    NotFoundAtBound is never a proof of non-derivability.
+    partially instantiated conclusion against universe members, taken in
+    (depth, text) order.  NotFoundAtBound never proves non-derivability.
 
     The search runs in rounds; each round fires every rule in calculus
     order, and each firing tries premise matches in step order (premise
@@ -350,14 +338,15 @@ def derive(
       with an argument the earlier premises bind (imp(p,q) in
       i4: p, imp(p,q) / q) reads a narrower list, keyed by (head, argument
       position, argument); that index is kept only for the positions some
-      premise reads.  Candidates for free conclusion variables come from
-      the same kind of index over the universe, on the first conclusion
-      argument the premises bind, kept likewise only for the positions
-      some conclusion reads.  Each list holds its members in step (or
-      universe) order, and a scan stops at the length its list had when
-      the scan began, as the full scan stopped at the step count it began
-      with; so the matches found, and their order, are those of a full
-      scan.
+      premise reads.  Each list holds its members in step order, and a
+      scan stops at the length its list had when the scan began, as the
+      full scan stopped at the step count it began with; so the matches
+      found, and their order, are those of a full scan.
+    * Order only where it shows.  The universe lists its members as
+      generated.  Free conclusion variables read the same kind of index
+      over it, on the first conclusion argument the premises bind (kept
+      only for the positions some conclusion reads), and only the
+      candidates that match are put in (depth, text) order.
     * Last premise through the conclusion.  When the earlier premises bind
       an argument of a fully bound conclusion (c3: p, q / and(p,q);
       ao1: or(p,q), or(p,r) / or(p,and(q,r))), the last premise is not
@@ -368,6 +357,11 @@ def derive(
       the hits are taken in step order, so the matches are again those of
       the scan; pairs whose conclusion lies outside the universe are never
       formed.
+    * First premise led by the second.  When a rule's two premises are a
+      variable and a compound with it as an argument (n3: p, neg(p) / q),
+      a step below the mark starts a new match only if a second-premise
+      step from the mark on binds the variable to it; only those are
+      visited there, in step order, as the scan would reach them.
     * Lookup-only instantiation.  A conclusion instance is looked up with
       interned_instance, not built: the universe is interned, so an
       instance never built before lies outside it, and rejected candidates
@@ -379,7 +373,6 @@ def derive(
     """
     premises = canon_sort(premises)
     universe = _universe(calc, premises + [goal], universe_depth, cap=max(step_cap, 2000))
-    in_universe = set(universe)
     plans = [(rule, *_rule_plan(rule), *_join_plan(rule)) for rule in calc.rules]
     # per head, the argument positions premises read steps by and conclusions read universe members by
     read_by_arg: dict[str, set[int]] = {}
@@ -392,116 +385,130 @@ def derive(
             if pos is not None:
                 universe_read_by_arg.setdefault(rule.conclusion.head, set()).add(pos)
 
-    universe_by_head: dict[str, list[Formula]] = {}
     universe_by_arg: dict[tuple[str, int, Formula], list[Formula]] = {}
     for u in universe:
         if isinstance(u, App):
-            universe_by_head.setdefault(u.head, []).append(u)
             for pos in universe_read_by_arg.get(u.head, ()):
                 if pos < len(u.args):
                     universe_by_arg.setdefault((u.head, pos, u.args[pos]), []).append(u)
+    depths: dict[Formula, int] = {}  # for the (depth, text) order of free-variable candidates
 
     steps: list[Step] = []
+    formulas: list[Formula] = []
     index: dict[Formula, int] = {}
-    # (formula, step number) in step order: all of them, by head symbol, and
-    # by (head, argument position, argument) for the positions in read_by_arg
-    every: list[tuple[Formula, int]] = []
-    by_head: dict[str, list[tuple[Formula, int]]] = {}
-    by_arg: dict[tuple[str, int, Formula], list[tuple[Formula, int]]] = {}
+    # step numbers in step order, by head symbol and by (head, argument
+    # position, argument) for the positions in read_by_arg
+    by_head: dict[str, list[int]] = {}
+    by_arg: dict[tuple[str, int, Formula], list[int]] = {}
 
     def record(phi: Formula, just: Justification) -> None:
         k = len(steps)
         index[phi] = k
         steps.append(Step(phi, just))
-        every.append((phi, k))
+        formulas.append(phi)
         if isinstance(phi, App):
-            by_head.setdefault(phi.head, []).append((phi, k))
+            by_head.setdefault(phi.head, []).append(k)
             for pos in read_by_arg.get(phi.head, ()):
                 # a sequent may use a rule's head at another arity
                 if pos < len(phi.args):
-                    by_arg.setdefault((phi.head, pos, phi.args[pos]), []).append((phi, k))
+                    by_arg.setdefault((phi.head, pos, phi.args[pos]), []).append(k)
 
     for phi in premises:
         record(phi, Premise())
     if goal in index:
         return Derived(_trim(steps, index, goal))
 
-    def fire(
-        rule: Rule, leftover: bool, key: Optional[int], scans: tuple[Optional[int], ...], via: Optional[int], mark: int
-    ) -> Iterator:
+    def fire(plan: tuple, mark: int) -> Iterator:
         """(conclusion, substitution, premise steps) for each new match."""
+        rule, leftover, key, scans, via = plan
         prems = rule.premises
         last = len(prems) - 1
+        # a variable first premise that is an argument of the second is led by it
+        led = last == 1 and via is None and isinstance(prems[0], Var) and isinstance(prems[1], App)
+        led = led and prems[0] in prems[1].args
 
-        def conclude(sigma: dict[str, Formula], used: tuple[int, ...]) -> Iterator:
+        def conclude(sigma: dict[str, Formula], used: tuple[int, ...], fresh: bool) -> Iterator:
             pattern = rule.conclusion
-            if not leftover:
+            if not leftover and via is None:
                 concl = interned_instance(sigma, pattern)
-                if concl in in_universe:
+                if concl in universe:
                     yield concl, sigma, used
                 return
-            if isinstance(pattern, Var):
-                candidates: Sequence[Formula] = universe
-            elif key is None:
-                candidates = universe_by_head.get(pattern.head, ())
+            pos = key if leftover else via
+            if pos is None:
+                candidates: Iterable[Formula] = universe
             else:
-                arg = interned_instance(sigma, pattern.args[key])
-                candidates = universe_by_arg.get((pattern.head, key, arg), ())  # type: ignore[arg-type]
+                arg = interned_instance(sigma, pattern.args[pos])
+                candidates = universe_by_arg.get((pattern.head, pos, arg), ())  # type: ignore[arg-type]
+            low, end = (0 if fresh else mark), len(steps)
+            found = []
             for u in candidates:
                 filled = _match(pattern, u, sigma)
-                if filled is not None:
-                    yield u, filled, used
-
-        def through_conclusion(sigma: dict[str, Formula], used: tuple[int, ...], fresh: bool) -> Iterator:
-            pattern = rule.conclusion
-            arg = interned_instance(sigma, pattern.args[via])
-            low, end = (0 if fresh else mark), len(steps)
-            hits = []
-            for u in universe_by_arg.get((pattern.head, via, arg), ()):
-                filled = _match(pattern, u, sigma)
-                if filled is not None:
-                    k = index.get(interned_instance(filled, prems[last]))
-                    if k is not None and low <= k < end:
-                        hits.append((k, u, filled))
-            hits.sort(key=itemgetter(0))
-            for k, u, filled in hits:
-                yield u, filled, used + (k,)
+                if filled is None:
+                    continue
+                if leftover:
+                    found.append(((depth(u, depths), text(u)), u, filled, used))
+                    continue
+                k = index.get(interned_instance(filled, prems[last]))
+                if k is not None and low <= k < end:
+                    found.append((k, u, filled, used + (k,)))
+            found.sort(key=itemgetter(0))
+            for _, u, filled, steps_used in found:
+                yield u, filled, steps_used
 
         def match_from(i: int, sigma: dict[str, Formula], used: tuple[int, ...], fresh: bool) -> Iterator:
-            if i > last:
-                yield from conclude(sigma, used)
-                return
-            if i == last and via is not None:
-                yield from through_conclusion(sigma, used, fresh)
+            if i > last or (i == last and via is not None):
+                yield from conclude(sigma, used, fresh)
                 return
             pattern = prems[i]
             pos = scans[i]
             if isinstance(pattern, Var):
-                entries = every
+                entries = range(len(formulas))
             elif pos is None:
                 entries = by_head.get(pattern.head, ())
             else:
                 arg = interned_instance(sigma, pattern.args[pos])
                 entries = by_arg.get((pattern.head, pos, arg), ())  # type: ignore[arg-type]
             end = len(entries)
-            start = 0 if fresh or i < last else bisect_left(entries, mark, 0, end, key=_step_number)
+            start = 0 if fresh or i < last else bisect_left(entries, mark, 0, end)
             for j in range(start, end):
-                phi, k = entries[j]
-                nxt = _match(pattern, phi, sigma)
+                k = entries[j]
+                nxt = _match(pattern, formulas[k], sigma)
                 if nxt is not None:
                     yield from match_from(i + 1, nxt, used + (k,), fresh or k >= mark)
 
-        return match_from(0, {}, (), False)
+        def led_by_second() -> Iterator:
+            name, second = prems[0].name, prems[1]
+            entries = by_head.setdefault(second.head, [])
+            seen = bisect_left(entries, mark)
+            todo = list(range(mark, len(steps)))  # a heap of the first-premise steps to visit
+            k = -1
+            while True:
+                for n in entries[seen:]:
+                    sigma = _match(second, formulas[n], {})
+                    j = None if sigma is None else index.get(sigma[name])
+                    if j is not None and k < j < mark:
+                        heapq.heappush(todo, j)
+                seen = len(entries)
+                if not todo:
+                    return
+                j = heapq.heappop(todo)
+                if j > k:
+                    k = j
+                    yield from match_from(1, {name: formulas[k]}, (k,), k >= mark)
+
+        return led_by_second() if led else match_from(0, {}, (), False)
 
     marks: list[Optional[int]] = [None] * len(plans)
     while True:
         grew = False
-        for r, (rule, leftover, key, scans, via) in enumerate(plans):
+        for r, plan in enumerate(plans):
+            rule = plan[0]
             mark = marks[r]
             if mark is not None and not rule.premises:
                 continue
             marks[r] = len(steps)
-            for concl, sigma, used in fire(rule, leftover, key, scans, via, mark or 0):
+            for concl, sigma, used in fire(plan, mark or 0):
                 if concl in index:
                     continue
                 record(concl, RuleApp(rule.name, tuple(sorted(sigma.items())), used))

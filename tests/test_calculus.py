@@ -239,13 +239,48 @@ def test_c3_join_is_driven_by_the_universe():
 
 def test_derive_from_a_deep_premise():
     # neg^2400(p) |- p by 1200 double-negation eliminations: the universe's
-    # depths and the trimming of the derivation walk without recursion
+    # depths and the trimming of the derivation walk without recursion, and
+    # n3 (p, neg(p) / q) must visit only the steps new second premises point
+    # at: a scan of every step in each of the 1200 rounds is quadratic
     c = builtin_calculus("B_neg")
     p = var("p")
     phi = p
     for _ in range(2400):
         phi = app("neg", (phi,))
-    res = derive(c, [phi], p, universe_depth=0)
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        res = derive(c, [phi], p, universe_depth=0)
+        best = min(best, time.perf_counter() - start)
+    assert best < 0.2
     assert isinstance(res, Derived)
     assert len(res.derivation.steps) == 1201
     assert verify(res.derivation, c, [phi], p)
+
+
+# d1 (p / or(p,q)) and n3 (p, neg(p) / q) take their free conclusion
+# variable from the universe members in (depth, text) order, so that order
+# decides which conclusions the step cap lets in, and which derivation
+# comes out
+@pytest.mark.parametrize(
+    "cid, premises, goal, cap, lines",
+    [
+        ("B_or", ["q"], "or(q,r)", 2, None),
+        ("B_neg", ["neg(p)", "p"], "neg(q)", 5, None),
+        (
+            "B_or",
+            ["r"],
+            "or(or(q,p),or(r,p))",
+            21,
+            ["0. r  [premise]", "1. or(r,p)  [d1 0]", "2. or(or(r,p),or(q,p))  [d1 1]", "3. or(or(q,p),or(r,p))  [d3 2]"],
+        ),
+    ],
+)
+def test_leftover_candidates_come_in_depth_text_order(cid, premises, goal, cap, lines):
+    c = builtin_calculus(cid)
+    sig = c.signature
+    res = derive(c, [parse(t, sig) for t in premises], parse(goal, sig), universe_depth=1, step_cap=cap)
+    if lines is None:
+        assert res == NotFoundAtBound("step cap exhausted", 1, cap)
+    else:
+        assert res.derivation.lines() == lines

@@ -6,10 +6,16 @@ every derived formula and scans the whole universe for leftover schematic
 variables.  The indexed engine must record the same steps in the same
 order, so the two must return equal derivations (step for step, with the
 same substitutions) or equal NotFoundAtBound verdicts.
+
+The reference builds its own instantiation universe, sorted whole in
+(depth, text) order as derive's universe once was, so a change to the order
+in which derive's universe lists its members cannot pass through both
+engines unseen.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from typing import Iterable, Iterator, Optional, Union
 
@@ -35,7 +41,20 @@ from nmfib.calculus import (
     verify,
 )
 from nmfib.semantics import entails, two_valued_matrix
-from nmfib.syntax import Formula, Var, apply_substitution, app, canon_sort, parse, var, variables
+from nmfib.syntax import (
+    Formula,
+    Var,
+    app,
+    apply_substitution,
+    canon_sort,
+    depth,
+    fresh_var,
+    parse,
+    subformula_closure,
+    text,
+    var,
+    variables,
+)
 
 
 def _reference_match(pattern: Formula, target: Formula, sigma: dict[str, Formula]) -> Optional[dict[str, Formula]]:
@@ -56,6 +75,34 @@ def _reference_match(pattern: Formula, target: Formula, sigma: dict[str, Formula
     return sigma
 
 
+def _reference_universe(calc: HilbertCalculus, base: list[Formula], depth_bound: int, cap: int) -> list[Formula]:
+    """Subformulas of the sequent plus a fresh variable, closed up to the
+    depth bound under the calculus connectives, in (depth, text) order; each
+    round combines the pool so far, and the cap truncates breadth-first."""
+    pool = list(subformula_closure(base))
+    pool.append(fresh_var(base))
+    depths: dict[Formula, int] = {}
+    keys = {f: (depth(f, depths), text(f)) for f in pool}
+    for _ in range(depth_bound):
+        if len(keys) > cap:
+            break
+        grown = sorted(keys, key=keys.__getitem__)
+        for conn, arity in calc.signature.connectives:
+            for args in itertools.product(grown, repeat=arity):
+                candidate = app(conn, args)
+                if candidate not in keys:
+                    keys[candidate] = (
+                        (1 + max(keys[a][0] for a in args), f"{conn}({','.join(keys[a][1] for a in args)})")
+                        if args
+                        else (0, conn)
+                    )
+                if len(keys) > cap:
+                    break
+            if len(keys) > cap:
+                break
+    return sorted(keys, key=keys.__getitem__)
+
+
 def _schematic_variables(rule: Rule) -> set[str]:
     return {v.name for phi in (*rule.premises, rule.conclusion) for v in variables(phi)}
 
@@ -69,7 +116,7 @@ def reference_derive(
 ) -> Union[Derived, NotFoundAtBound]:
     """Naive bounded forward chaining (the engine derive replaced)."""
     premises = canon_sort(premises)
-    universe = _universe(calc, premises + [goal], universe_depth, cap=max(step_cap, 2000))
+    universe = _reference_universe(calc, premises + [goal], universe_depth, cap=max(step_cap, 2000))
     in_universe = set(universe)
 
     steps: list[Step] = []
@@ -266,6 +313,18 @@ def test_derive_takes_the_last_premise_in_step_order():
         _assert_same(calc, prems, goal, depth=1, step_cap=cap)
 
 
+def test_derive_takes_second_premises_recorded_during_a_firing():
+    # i4 (p, imp(p,q) / q) visits, below its mark, only the steps a new
+    # imp(p,q) step binds p to; imp(a2,z), recorded by i4 from a1 in the
+    # same firing, points at a2, which the scan over every step reaches
+    # after a1, so z is recorded before g and the step cap lets it in
+    calc = CALCULI["B_imp"]
+    sig = calc.signature
+    prems = [parse(t, sig) for t in ("u", "a1", "a2", "a3", "imp(u,v)", "imp(v,imp(a1,imp(a2,z)))", "imp(v,imp(a3,g))")]
+    for cap in range(8, 14):
+        _assert_same(calc, prems, parse("z", sig), depth=0, step_cap=cap)
+
+
 @pytest.mark.parametrize(
     "cid, premises, goal",
     [
@@ -310,3 +369,19 @@ def test_derive_interns_no_rejected_conclusions():
     assert isinstance(res, NotFoundAtBound)
     universe = _universe(calc, canon_sort(prems) + [goal], 1, cap=10000)
     assert grown <= len(universe)
+
+
+def test_universe_builds_no_text_for_its_last_round():
+    # only the members a round combines are sorted by (depth, text), so the
+    # formulas the last round builds get no text; fresh variable names, so
+    # that round builds most of its members
+    calc = builtin_calculus("B_iff")
+    sig = calc.signature
+    base = canon_sort([parse(t, sig) for t in ("iff(iff(uk_a,uk_a),iff(uk_b,uk_c))", "iff(uk_c,uk_b)")])
+    base.append(parse("iff(iff(uk_a,uk_c),iff(uk_a,uk_b))", sig))
+    combined = set(_universe(calc, base, 1, cap=10000))
+    existing = set(syntax._pool.values())
+    universe = _universe(calc, base, 2, cap=10000)
+    built = [u for u in universe if u not in existing]
+    assert len(universe) == 10001 and not combined & set(built) and len(built) > 9000
+    assert all(u._key is None for u in built)

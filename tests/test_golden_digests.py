@@ -7,6 +7,9 @@ text.  The runs are:
 
 - ``decide-recovery --json`` on every ordered pair of bundled fragment files;
 - ``reproduce --json`` on every catalog id;
+- ``derive --json`` for every bundled calculus on the seeded sequents of
+  ``test_derive_reference``, at universe depth 1 and step caps 2, 3, 5 and
+  the default;
 - every example command of the README's "Command line" section.
 
 ``golden_digests.json`` holds the digests.  A change that is meant to alter
@@ -28,8 +31,10 @@ import shlex
 import tempfile
 from pathlib import Path
 
-from nmfib import bundled, fibring
+from nmfib import bundled, calculus, fibring
 from nmfib.cli import main
+from nmfib.syntax import text
+from test_derive_reference import seeded_sequents
 
 ROOT = Path(__file__).resolve().parents[1]
 DIGESTS = Path(__file__).with_name("golden_digests.json")
@@ -52,11 +57,25 @@ def readme_commands() -> list[list[str]]:
     return [argv[1:] for argv in commands]
 
 
+def derive_runs() -> list[list[str]]:
+    """derive --json on the seeded sequents the differential derive tests
+    use at universe depth 1, under small step caps and the default one."""
+    out = []
+    for cid in calculus.BUILTIN_IDS:
+        for prems, goal in seeded_sequents(cid, seed=1, per_kind=8):
+            argv = ["derive", "--json", "--calculus", f"{cid}.json", "--universe-depth", "1", "--goal", text(goal)]
+            for p in prems:
+                argv += ["--premises", text(p)]
+            out += [argv + ["--steps", str(cap)] for cap in (2, 3, 5)]
+            out.append(argv)
+    return out
+
+
 def runs() -> list[list[str]]:
     fragments = [f"{stem}.json" for stem in bundled.stems("fragment")]
     out = [["decide-recovery", "--json", a, b] for a in fragments for b in fragments]
     out += [["reproduce", "--json", cid] for cid in fibring.CATALOG_IDS]
-    return out + readme_commands()
+    return out + derive_runs() + readme_commands()
 
 
 def digest(argv: list[str]) -> str:
