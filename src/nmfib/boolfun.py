@@ -64,20 +64,27 @@ __all__ = [
 ]
 
 
+def _rows(arity: int) -> int:
+    """The number of rows of a table of this arity; a ValueError if the arity is negative."""
+    if arity < 0:
+        raise ValueError(f"arity {arity} is negative")
+    return 1 << arity
+
+
 @dataclass(frozen=True)
 class BooleanFunction:
     arity: int
     bits: int
 
     def __post_init__(self) -> None:
-        rows = 1 << self.arity
-        if not 0 <= self.bits < (1 << rows):
+        if not 0 <= self.bits < (1 << _rows(self.arity)):
             raise ValueError(f"table out of range for arity {self.arity}")
 
     @staticmethod
     def from_string(s: str, arity: int) -> "BooleanFunction":
-        if len(s) != 1 << arity or set(s) - {"0", "1"}:
-            raise ValueError(f"table string {s!r} is not {1 << arity} bits")
+        rows = _rows(arity)
+        if len(s) != rows or set(s) - {"0", "1"}:
+            raise ValueError(f"table string {s!r} is not {rows} bits")
         bits = 0
         for i, ch in enumerate(s):
             if ch == "1":
@@ -87,7 +94,7 @@ class BooleanFunction:
     @staticmethod
     def from_callable(arity: int, fn: Callable[..., int]) -> "BooleanFunction":
         bits = 0
-        for row in range(1 << arity):
+        for row in range(_rows(arity)):
             if fn(*_row_args(row, arity)):
                 bits |= 1 << row
         return BooleanFunction(arity, bits)

@@ -63,6 +63,17 @@ def _countermodel_lines(cm: semantics.PartialValuation) -> list[str]:
     return [f"  {line}" for line in cm.lines()]
 
 
+def _check_search_bounds(args) -> None:
+    """A ValueError naming --universe-depth or --steps when it is negative."""
+    for option, value in (("--universe-depth", args.universe_depth), ("--steps", args.steps)):
+        if value < 0:
+            raise ValueError(f"{option} must not be negative (got {value})")
+
+
+def _countermodel_record(cm: semantics.PartialValuation) -> dict[str, str]:
+    return {syntax.text(k): v for k, v in cm.assignment}
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -130,7 +141,7 @@ def cmd_entail(args) -> int:
         cm = verdict.countermodel
         _emit(
             args,
-            {"verdict": "FAILS", "countermodel": {syntax.text(k): v for k, v in cm.assignment}},
+            {"verdict": "FAILS", "countermodel": _countermodel_record(cm)},
             ["FAILS"] + _countermodel_lines(cm),
         )
     return 0
@@ -157,6 +168,7 @@ def cmd_translate(args) -> int:
 
 
 def cmd_derive(args) -> int:
+    _check_search_bounds(args)
     calc = _load_calculus(args.calculus)
     sig = calc.signature
     premises = [syntax.parse(t, sig) for t in args.premises]
@@ -188,59 +200,28 @@ def cmd_derive(args) -> int:
     return 2
 
 
-def _emit_classical(args, verdict: fibring.Classical, line: str) -> None:
-    _emit(args, {"verdict": "CLASSICAL", "condition": verdict.condition, "detail": verdict.detail}, [line])
-
-
 def cmd_decide_recovery(args) -> int:
-    f1 = _load_fragment(args.f1)
-    f2 = _load_fragment(args.f2)
-    verdict = fibring.decide_recovery(f1, f2)
+    """decide-recovery, and witness, which words the same verdict as a witness."""
+    witness = args.command == "witness"
+    verdict = fibring.decide_recovery(_load_fragment(args.f1), _load_fragment(args.f2))
     if isinstance(verdict, fibring.Classical):
-        _emit_classical(args, verdict, f"CLASSICAL (condition {verdict.condition})")
+        c = verdict.condition
+        payload = {"verdict": "CLASSICAL", "condition": c, "detail": verdict.detail}
+        _emit(args, payload, [f"NO WITNESS (CLASSICAL, condition {c})" if witness else f"CLASSICAL (condition {c})"])
         return 0
     cm = verdict.countermodel
-    payload = {
-        "verdict": "SUBCLASSICAL",
-        "witness": str(verdict.witness),
-        "power": verdict.power_used,
-        "countermodel": {syntax.text(k): v for k, v in cm.assignment},
-    }
-    _emit(
-        args,
-        payload,
-        [
-            "SUBCLASSICAL",
-            f"  witness: {verdict.witness}",
-            f"  refuted at power {verdict.power_used}",
-        ]
-        + _countermodel_lines(cm),
-    )
-    return 0
-
-
-def cmd_witness(args) -> int:
-    f1 = _load_fragment(args.f1)
-    f2 = _load_fragment(args.f2)
-    verdict = fibring.decide_recovery(f1, f2)
-    if isinstance(verdict, fibring.Classical):
-        _emit_classical(args, verdict, f"NO WITNESS (CLASSICAL, condition {verdict.condition})")
-        return 0
-    cm = verdict.countermodel
-    payload = {
-        "witness": str(verdict.witness),
-        "power": verdict.power_used,
-        "countermodel": {syntax.text(k): v for k, v in cm.assignment},
-    }
-    _emit(
-        args,
-        payload,
-        [f"WITNESS: {verdict.witness}", f"  refuted at power {verdict.power_used}"] + _countermodel_lines(cm),
-    )
+    payload = {"witness": str(verdict.witness), "power": verdict.power_used, "countermodel": _countermodel_record(cm)}
+    if witness:
+        lines = [f"WITNESS: {verdict.witness}"]
+    else:
+        payload["verdict"] = "SUBCLASSICAL"
+        lines = ["SUBCLASSICAL", f"  witness: {verdict.witness}"]
+    _emit(args, payload, lines + [f"  refuted at power {verdict.power_used}"] + _countermodel_lines(cm))
     return 0
 
 
 def cmd_certify(args) -> int:
+    _check_search_bounds(args)
     f1 = _load_fragment(args.frag1)
     f2 = _load_fragment(args.frag2)
     extra = _load_calculus(args.rules) if args.rules else None
@@ -269,7 +250,7 @@ def cmd_certify(args) -> int:
             "verdict": "NO",
             "power": verdict.power_used,
             "exactness": verdict.exactness,
-            "countermodel": {syntax.text(k): v for k, v in cm.assignment},
+            "countermodel": _countermodel_record(cm),
         }
         tag = "" if verdict.exactness == "exact" else " [rule-filtered, heuristic]"
         _emit(args, payload, [f"NO (power {verdict.power_used}){tag}"] + _countermodel_lines(cm))
@@ -409,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("f1")
     sp.add_argument("f2")
     _add_json(sp)
-    sp.set_defaults(fn=cmd_witness)
+    sp.set_defaults(fn=cmd_decide_recovery)
 
     sp = sub.add_parser("certify", help="two-sided entailment certificate")
     sp.add_argument("--frag1", required=True)

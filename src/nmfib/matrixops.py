@@ -39,7 +39,11 @@ def size_cap(explicit: Optional[int] = None) -> int:
     if explicit is not None:
         return explicit
     env = os.environ.get("NMFIB_SIZE_CAP")
-    return int(env) if env else DEFAULT_SIZE_CAP
+    if not env:
+        return DEFAULT_SIZE_CAP
+    if not env.isdecimal() or int(env) < 1:
+        raise ValueError(f"NMFIB_SIZE_CAP must be a positive integer (got {env!r})")
+    return int(env)
 
 
 def _tuple_name(parts: Sequence[str]) -> str:

@@ -217,10 +217,6 @@ class PartialValuation:
     def as_dict(self) -> dict[Formula, str]:
         return dict(self.assignment)
 
-    @property
-    def domain(self) -> tuple[Formula, ...]:
-        return tuple(phi for phi, _ in self.assignment)
-
     def value(self, phi: Formula) -> str:
         for psi, v in self.assignment:
             if psi == phi:

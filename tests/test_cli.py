@@ -127,6 +127,25 @@ def test_error_exit_code(capsys):
     assert code == 1 and "error:" in err
 
 
+def test_negative_arity_is_named(capsys):
+    code, out, err = run(capsys, "classify", "--arity", "-1", "--table", "1")
+    assert (code, out, err) == (1, "", "error: arity -1 is negative\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("derive", "--calculus", "B_or.json", "--goal", "p"),
+        ("certify", "--frag1", "or.json", "--frag2", "or2.json", "--goal", "p"),
+    ],
+)
+@pytest.mark.parametrize("option", ["--universe-depth", "--steps"])
+def test_negative_search_bound_is_named(capsys, argv, option):
+    code, out, err = run(capsys, *argv, option, "-1")
+    assert (code, out) == (1, "")
+    assert err == f"error: {option} must not be negative (got -1)\n"
+
+
 def test_deep_formula_is_a_clean_error(capsys):
     deep = "neg(" * 3000 + "p" + ")" * 3000
     code, out, err = run(capsys, "derive", "--calculus", "B_neg.json", "--premises", "p", "--goal", deep)

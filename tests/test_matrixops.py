@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import time
 
 import pytest
@@ -59,6 +60,10 @@ def test_power_cap_env_override(monkeypatch):
         power(m, 3)
     monkeypatch.setenv("NMFIB_SIZE_CAP", "1000")
     assert len(power(m, 3).values) == 8
+    for bad in ("abc", "0", "-5", "2.5"):
+        monkeypatch.setenv("NMFIB_SIZE_CAP", bad)
+        with pytest.raises(ValueError, match=re.escape(f"NMFIB_SIZE_CAP must be a positive integer (got {bad!r})")):
+            power(m, 2)
 
 
 def test_power_preserves_consequence_on_samples():
