@@ -1,15 +1,19 @@
-"""Boolean functions as truth-table bitmasks, connective taxonomy, clone tests.
+"""Boolean functions as truth-table bitmasks, connective taxonomy, Post's lattice.
 
 A k-place function is a 2^k-bit table.  Row i is the argument vector given by
 the k-bit big-endian encoding of i (first argument = most significant bit),
 and bit i of the mask holds the value on row i.  The string form writes row 0
 first, so the classical 'or' is "0111".
 
-The closed-form clone tests read the taxonomy (classify) and Post's
-predicates.  Clone closure at a fixed arity has one engine, _closure, which
-yields each new table once, with a recipe for it; clone_closure_at_arity
-keeps the tables, and clone_expressions turns the recipes into derived
-connectives, building one formula per table it keeps.
+Post's lattice is written down once, as the member tests of its
+meet-irreducible clones (P0, P1, M, D, L, E, V, N) together with the
+separation degree of a function and of its dual.  Each question names the
+irreducibles it needs (inside), and the k-ary slice of the clone of a set of
+functions (clone_closure_at_arity) is read off the same tests, with no
+search.  A 0-place function counts as its unary constant throughout.  Derived
+connectives come from one search, _closure, which yields each new table of a
+clone once, with a recipe for it; clone_expressions turns the recipes into
+formulas, building one formula per table it keeps.
 """
 
 from __future__ import annotations
@@ -39,16 +43,10 @@ __all__ = [
     "classify",
     "PostPredicates",
     "post_predicates",
-    "anf_coefficients",
-    "in_clone_top",
-    "in_clone_and_top_bot",
-    "in_clone_biimp",
+    "inside",
     "separation_degree",
     "FragmentSpec",
-    "fragment_in_clone",
-    "CompletenessVerdict",
     "functionally_complete",
-    "ClosureBudgetExceeded",
     "clone_closure_at_arity",
     "clone_expressions",
     "find_expression",
@@ -177,6 +175,100 @@ def classify(f: BooleanFunction) -> Classification:
     )
 
 
+# ---------------------------------------------------------------------------
+# Post's lattice (Post 1941; bases in Boehler, Creignou, Reith & Vollmer 2003)
+# ---------------------------------------------------------------------------
+
+def _lift(f: BooleanFunction) -> BooleanFunction:
+    """f, or its unary constant when f is 0-place."""
+    return _constant(1, f.bits) if f.arity == 0 else f
+
+
+@functools.cache
+def _columns(k: int) -> tuple[tuple[int, int], ...]:
+    """For each argument of a k-place table: the row offset that flips it,
+    and the mask of the rows on which it is 1."""
+    return tuple((1 << (k - j), _projection(k, j)) for j in range(1, k + 1))
+
+
+def _dual(k: int, bits: int) -> int:
+    """The table of the dual not f(not x): each row takes the negated value
+    of its complement row."""
+    rows = 1 << k
+    return (1 << rows) - 1 ^ int(format(bits, f"0{rows}b")[::-1], 2)
+
+
+def _affine(k: int, bits: int) -> bool:
+    # the value at row 0, xor each argument that flips it from there
+    table = bits & 1 and (1 << (1 << k)) - 1
+    for shift, column in _columns(k):
+        if (bits >> shift ^ bits) & 1:
+            table ^= column
+    return table == bits
+
+
+def _conjunctive(k: int, bits: int) -> bool:
+    # constant 0, or the conjunction of the arguments true on every true row
+    table = (1 << (1 << k)) - 1
+    for _, column in _columns(k):
+        if not bits & ~column:
+            table &= column
+    return bits in (0, table)
+
+
+def _disjunctive(k: int, bits: int) -> bool:
+    # constant 1, or the disjunction of the arguments whose true rows it covers
+    table = 0
+    for _, column in _columns(k):
+        if not column & ~bits:
+            table |= column
+    return bits in ((1 << (1 << k)) - 1, table)
+
+
+# The meet-irreducible clones of Post's lattice, each with the test of its
+# members of arity >= 1.  Every clone is the intersection of those of them
+# that contain it, with T0_d and its dual T1_d, which separation_degree reads.
+_IRREDUCIBLE: dict[str, Callable[[int, int], bool]] = {
+    "P0": lambda k, bits: not bits & 1,
+    "P1": lambda k, bits: bool(bits >> (1 << k) - 1 & 1),
+    "M": lambda k, bits: all(not (bits & ~column) << shift & ~bits for shift, column in _columns(k)),
+    "D": lambda k, bits: _dual(k, bits) == bits,
+    "L": _affine,
+    "E": _conjunctive,
+    "V": _disjunctive,
+    # at most one argument changes the value
+    "N": lambda k, bits: sum(bool((bits >> shift ^ bits) & ~column) for shift, column in _columns(k)) <= 1,
+}
+
+
+def inside(functions: Iterable[BooleanFunction], *clones: str) -> bool:
+    """Whether every function lies in each of the named irreducible clones
+    (P0, P1, M, D, L, E, V, N); only the named ones are tested."""
+    lifted = [_lift(f) for f in functions]
+    return all(_IRREDUCIBLE[c](f.arity, f.bits) for c in clones for f in lifted)
+
+
+def _degree(k: int, bits: int) -> float:
+    ones = [r for r in range(1 << k) if bits >> r & 1]
+    # the meets of d true rows, as masks of the coordinates they share
+    meets, d = {(1 << k) - 1}, -1
+    while 0 not in meets:
+        grown = {m & r for m in meets for r in ones}
+        if grown == meets:
+            return math.inf
+        meets, d = grown, d + 1
+    return d
+
+
+def separation_degree(f: BooleanFunction) -> float:
+    """The largest d such that every d true rows of f share a coordinate
+    equal to 1; infinity when all its true rows share one.  T0_d, the clone
+    of coimp and thr_{d+1}_d, holds the functions of degree at least d, and
+    T0_inf, the clone of coimp, those of infinite degree; degree 1 is P0."""
+    f = _lift(f)
+    return _degree(f.arity, f.bits)
+
+
 @dataclass(frozen=True)
 class PostPredicates:
     preserves0: bool
@@ -186,85 +278,9 @@ class PostPredicates:
     self_dual: bool
 
 
-def anf_coefficients(f: BooleanFunction) -> int:
-    """Moebius transform over GF(2); bit m is the coefficient of monomial m."""
-    coeffs = [f.on_row(r) for r in range(1 << f.arity)]
-    # rows are big-endian argument vectors; the transform is order-agnostic
-    step = 1
-    while step < len(coeffs):
-        for base in range(0, len(coeffs), step * 2):
-            for i in range(base, base + step):
-                coeffs[i + step] ^= coeffs[i]
-        step *= 2
-    bits = 0
-    for m, c in enumerate(coeffs):
-        if c:
-            bits |= 1 << m
-    return bits
-
-
 def post_predicates(f: BooleanFunction) -> PostPredicates:
-    rows = 1 << f.arity
-    mono = True
-    for r in range(rows):
-        for j in range(f.arity):
-            if not r >> j & 1:
-                if f.on_row(r) > f.on_row(r | 1 << j):
-                    mono = False
-                    break
-        if not mono:
-            break
-    anf = anf_coefficients(f)
-    affine = all(not anf >> m & 1 for m in range(rows) if bin(m).count("1") >= 2)
-    dual = all(f.on_row(rows - 1 - r) != f.on_row(r) for r in range(rows))
-    return PostPredicates(
-        preserves0=not f.on_row(0),
-        preserves1=bool(f.on_row(rows - 1)),
-        monotone=mono,
-        affine=affine,
-        self_dual=dual,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Closed-form clone membership; a 0-place function is its constant
-# ---------------------------------------------------------------------------
-
-def in_clone_top(f: BooleanFunction) -> bool:
-    """Constant-1 functions and projections: the clone generated by top."""
-    pc = classify(f).projection_conjunction
-    return pc is not None and len(pc) <= 1
-
-
-def in_clone_and_top_bot(f: BooleanFunction) -> bool:
-    """Constant-0, or the conjunction of the arguments in some set J."""
-    cls = classify(f)
-    return cls.bottom_like or cls.projection_conjunction is not None
-
-
-def in_clone_biimp(f: BooleanFunction) -> bool:
-    """Affine and 1-preserving: the clone generated by bi-implication."""
-    p = post_predicates(f)
-    return p.affine and p.preserves1
-
-
-def separation_degree(f: BooleanFunction) -> float:
-    """The largest k such that every k true rows of f share a coordinate
-    equal to 1; infinity when all its true rows share one.  T0_k, the clone
-    of coimp and thr_{k+1}_k, holds the functions of degree at least k, and
-    T0_inf, the clone of coimp, those of infinite degree (Post 1941).  A
-    0-place function counts as its unary constant."""
-    if f.arity == 0:
-        f = _constant(1, f.bits & 1)
-    ones = [r for r in range(1 << f.arity) if f.on_row(r)]
-    # the meets of k true rows, as masks of the coordinates they share
-    meets, k = {(1 << f.arity) - 1}, -1
-    while 0 not in meets:
-        grown = {m & r for m in meets for r in ones}
-        if grown == meets:
-            return math.inf
-        meets, k = grown, k + 1
-    return k
+    """Membership in Post's five maximal clones."""
+    return PostPredicates(*(inside([f], c) for c in ("P0", "P1", "M", "L", "D")))
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +311,9 @@ class FragmentSpec:
     def names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.functions)
 
+    def tables(self) -> tuple[BooleanFunction, ...]:
+        return tuple(f for _, f in self.functions)
+
     def union(self, other: "FragmentSpec") -> "FragmentSpec":
         mine = dict(self.functions)
         for n, f in other.functions:
@@ -304,34 +323,9 @@ class FragmentSpec:
         return FragmentSpec.of(mine)
 
 
-def fragment_in_clone(frag: FragmentSpec, clone: str) -> bool:
-    """Membership of a whole fragment in one of the closed-form clones.
-
-    0-place connectives: value 1 is admitted by every clone here; value 0
-    only by the conjunction-with-constants clone.
-    """
-    test = {"top": in_clone_top, "and_top_bot": in_clone_and_top_bot, "biimp": in_clone_biimp}[clone]
-    return all(test(f) for _, f in frag.functions)
-
-
-# Post's five maximal clones, each with the PostPredicates field true of its members
-_COATOMS = (("P0", "preserves0"), ("P1", "preserves1"), ("A", "affine"), ("M", "monotone"), ("D", "self_dual"))
-
-
-@dataclass(frozen=True)
-class CompletenessVerdict:
-    complete: bool
-    witness: Optional[str]
-    preserved: tuple[str, ...]
-
-
-def functionally_complete(frag: FragmentSpec) -> CompletenessVerdict:
-    """Post's criterion: complete iff each of the five maximal clones is escaped."""
-    preds = [post_predicates(f) for _, f in frag.functions]
-    preserved = tuple(name for name, field in _COATOMS if all(getattr(p, field) for p in preds))
-    if preserved:
-        return CompletenessVerdict(False, preserved[0], preserved)
-    return CompletenessVerdict(True, None, ())
+def functionally_complete(frag: FragmentSpec) -> bool:
+    """Post's criterion: complete iff no maximal clone holds the fragment."""
+    return not any(inside(frag.tables(), c) for c in ("P0", "P1", "M", "D", "L"))
 
 
 # ---------------------------------------------------------------------------
@@ -364,13 +358,12 @@ def _frontier_tuples(new_item, older: Sequence, m: int):
             yield tup
 
 
-class ClosureBudgetExceeded(ValueError):
-    """The closure fixpoint hit its size or work cap before completing."""
+def _check_closure_arity(k: int) -> None:
+    if not 1 <= k <= 4:
+        raise ValueError("closure arity must be between 1 and 4")
 
 
-def _closure(
-    named_gens: Sequence[tuple[object, BooleanFunction]], k: int, cap: int, work_cap: Optional[int] = None
-) -> Iterator[tuple[int, object]]:
+def _closure(named_gens: Sequence[tuple[str, BooleanFunction]], k: int, cap: int) -> Iterator[tuple[int, object]]:
     """Each table of the k-ary slice of the clone of the named generators,
     once, in discovery order, with a recipe for it: the index j of the
     projection p_j, or (name, argument tables) for a generator applied to
@@ -378,11 +371,10 @@ def _closure(
 
     After the projections and the 0-place constants, each table in turn is
     the frontier: every generator, in the given order, is applied to each
-    tuple of known tables that holds the frontier.  The caps bound the
-    tables known when a frontier is taken and, if given, the tuples tried.
+    tuple of known tables that holds the frontier.  The search stops once
+    more than cap tables are known when a frontier is taken.
     """
-    if not 1 <= k <= 4:
-        raise ValueError("closure arity must be between 1 and 4")
+    _check_closure_arity(k)
     full = (1 << (1 << k)) - 1
     start: list[tuple[int, object]] = [(_projection(k, j), j) for j in range(1, k + 1)]
     start += [(full if g.bits & 1 else 0, (name, ())) for name, g in named_gens if g.arity == 0]
@@ -397,17 +389,12 @@ def _closure(
             order.append(bits)
             yield bits, recipe
     have = set(order)
-    work = 0
     # order grows while it is walked: every table found becomes a frontier
     for frontier, f_new in enumerate(order):
         if len(order) > cap:
-            raise ClosureBudgetExceeded(f"clone closure exceeded cap of {cap} functions")
+            return
         older = order[:frontier]
         for name, m, minterms in ops:
-            if work_cap is not None:
-                work += (frontier + 1) ** m - frontier**m
-                if work > work_cap:
-                    raise ClosureBudgetExceeded(f"clone closure exceeded work cap of {work_cap}")
             for hs in _frontier_tuples(f_new, older, m):
                 bits = _compose_bits(minterms, hs, full)
                 if bits not in have:
@@ -416,21 +403,25 @@ def _closure(
                     yield bits, (name, tuple(hs))
 
 
-def clone_closure_at_arity(
-    generators: Iterable[BooleanFunction],
-    k: int,
-    cap: int = 70000,
-    work_cap: int = 2_000_000,
-) -> frozenset[BooleanFunction]:
-    """The k-ary slice of the clone generated by the given functions.
-
-    Least set containing the k projections, closed under applying each
-    generator to k-ary members; 0-place generators contribute constants.
+def clone_closure_at_arity(generators: Iterable[BooleanFunction], k: int) -> frozenset[BooleanFunction]:
+    """The k-ary slice of the clone generated by the given functions: the
+    tables that lie in every irreducible clone holding the generators, and
+    whose separation degree, and that of their dual, is no less than the
+    generators' least one.  A generator's degree of at most 1 is already
+    read as P0 (P1 for the dual), so only a larger one is tested.
     """
-    gens = sorted(set(generators), key=lambda f: (f.arity, f.bits))
-    # the recipes are dropped, so each generator serves as its own name
-    tables = _closure([(f, f) for f in gens], k, cap, work_cap)
-    return frozenset(BooleanFunction(k, bits) for bits, _ in tables)
+    _check_closure_arity(k)
+    gens = [_lift(f) for f in generators]
+    tests = [test for c, test in _IRREDUCIBLE.items() if inside(gens, c)]
+    degree = min(map(separation_degree, gens), default=math.inf)
+    dual = min((_degree(f.arity, _dual(f.arity, f.bits)) for f in gens), default=math.inf)
+    if degree > 1:
+        tests.append(lambda k, bits: _degree(k, bits) >= degree)
+    if dual > 1:
+        tests.append(lambda k, bits: _degree(k, _dual(k, bits)) >= dual)
+    return frozenset(
+        BooleanFunction(k, bits) for bits in range(1 << (1 << k)) if all(test(k, bits) for test in tests)
+    )
 
 
 def clone_expressions(
@@ -439,27 +430,25 @@ def clone_expressions(
     targets: Optional[Iterable[int]] = None,
     cap: int = 4096,
 ) -> dict[int, Formula]:
-    """Like clone_closure_at_arity but remembers, per table, one derived
-    connective over the generator names (written in p1..pk) that computes it.
+    """Derived connectives over the generator names, written in p1..pk: one
+    for each table of the k-ary slice of the generators' clone, keyed by
+    the table's bits.
 
     Discovery order, so returned expressions stay small.  Stops early once
     all requested target tables are found; gives up quietly at the cap.
     """
     want = set(targets) if targets is not None else None
     found: dict[int, Formula] = {}
-    try:
-        for bits, recipe in _closure(sorted(generators.items()), k, cap):
-            if isinstance(recipe, int):
-                found[bits] = var(f"p{recipe}")
-            else:
-                name, hs = recipe
-                found[bits] = app(name, tuple(found[h] for h in hs))
-            if want is not None:
-                want.discard(bits)
-                if not want:
-                    break
-    except ClosureBudgetExceeded:
-        pass
+    for bits, recipe in _closure(sorted(generators.items()), k, cap):
+        if isinstance(recipe, int):
+            found[bits] = var(f"p{recipe}")
+        else:
+            name, hs = recipe
+            found[bits] = app(name, tuple(found[h] for h in hs))
+        if want is not None:
+            want.discard(bits)
+            if not want:
+                break
     return found
 
 

@@ -172,10 +172,6 @@ class Step:
 class Derivation:
     steps: tuple[Step, ...]
 
-    @property
-    def conclusion(self) -> Formula:
-        return self.steps[-1].formula
-
     def lines(self) -> list[str]:
         out = []
         for i, step in enumerate(self.steps):

@@ -115,7 +115,7 @@ def cmd_classify(args) -> int:
 
 def cmd_clone(args) -> int:
     frag = _load_fragment(args.fragment)
-    closure = boolfun.clone_closure_at_arity([f for _, f in frag.functions], args.arity)
+    closure = boolfun.clone_closure_at_arity(frag.tables(), args.arity)
     tables = sorted(f.to_string() for f in closure)
     payload = {"arity": args.arity, "count": len(tables), "tables": tables}
     lines = [f"{len(tables)} functions at arity {args.arity}"]

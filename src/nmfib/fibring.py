@@ -9,12 +9,14 @@ used.  Countermodels found at any finite power transfer to the combined
 logic, so refutations are certificates; positive verdicts come from
 derivations in the merged Hilbert calculi.
 
-decide_recovery settles, exactly and by closed-form clone tests, whether
-merging two fragments of classical logic yields the joint classical fragment:
-    (a) one side induces only constant-1 functions and projections, or
-    (b) both sides sit inside the conjunction-with-constants clone, or
-    (c) one side sits inside the bi-implication clone and the other is a
-        single 0-place falsum plus top-like connectives only.
+decide_recovery settles, exactly and by membership in the irreducible
+clones of Post's lattice, whether merging two fragments of classical logic
+yields the joint classical fragment:
+    (a) one side induces only constant-1 functions and projections (it lies
+        in N, M and P1), or
+    (b) both sides sit inside the conjunction-with-constants clone E, or
+    (c) one side sits inside the bi-implication clone (L and P1) and the
+        other is a single 0-place falsum plus top-like connectives only.
 Anything else is subclassical.  Its witness sequent (classically valid,
 refuted in the product) comes from the curated families of the paper's
 proof: two copies of one very significant connective, distributivity,
@@ -38,11 +40,10 @@ from .boolfun import (
     FragmentSpec,
     classify,
     find_expression,
-    fragment_in_clone,
     functionally_complete,
+    inside,
     load_fragment,
     nontop_unary_witness,
-    post_predicates,
     separation_degree,
     standard_function,
 )
@@ -204,17 +205,13 @@ class Subclassical:
 RecoveryVerdict = Union[Classical, Subclassical]
 
 
-def _condition_b(f1: FragmentSpec, f2: FragmentSpec) -> bool:
-    return fragment_in_clone(f1, "and_top_bot") and fragment_in_clone(f2, "and_top_bot")
-
-
 def _falsums(frag: FragmentSpec) -> list[str]:
     """The names of the fragment's 0-place connectives with value 0."""
     return [n for n, f in frag.functions if f.arity == 0 and f.bits == 0]
 
 
 def _condition_c(side_biimp: FragmentSpec, side_bot: FragmentSpec) -> bool:
-    if not fragment_in_clone(side_biimp, "biimp"):
+    if not inside(side_biimp.tables(), "P1", "L"):
         return False
     bots = _falsums(side_bot)
     if len(bots) != 1:
@@ -239,11 +236,11 @@ def decide_recovery(f1: FragmentSpec, f2: FragmentSpec) -> RecoveryVerdict:
     """
     if not f1.signature.disjoint_from(f2.signature):
         raise MatrixError("decide_recovery needs disjoint signatures")
-    if fragment_in_clone(f1, "top"):
+    if inside(f1.tables(), "P1", "N", "M"):
         return Classical("a", "first fragment is top-like/projective")
-    if fragment_in_clone(f2, "top"):
+    if inside(f2.tables(), "P1", "N", "M"):
         return Classical("a", "second fragment is top-like/projective")
-    if _condition_b(f1, f2):
+    if inside(f1.tables() + f2.tables(), "E"):
         return Classical("b", "both fragments inside the conjunction-with-constants clone")
     if _condition_c(f1, f2):
         return Classical("c", "first fragment affine-1-preserving, second a lone falsum plus top-likes")
@@ -537,24 +534,23 @@ def decide_fc_recovery(f1: FragmentSpec, f2: FragmentSpec) -> FcOutcome:
     """When neither fragment is functionally complete but the union is:
     recovery happens exactly when one side generates only top-likes and
     projections (with a top-like, or the other side would be complete).
-    The other side then escapes P1, M and A (top completes it) but lies in
+    The other side then escapes P1, M and L (top completes it) but lies in
     P0 or D (it is incomplete), which in Post's lattice leaves the self-dual
     clone D, T0_k (k >= 1) and T0_inf; it is named from its tables."""
     if not f1.signature.disjoint_from(f2.signature):
         raise MatrixError("decide_fc_recovery needs disjoint signatures")
     union = f1.union(f2)
-    if not functionally_complete(union).complete:
+    if not functionally_complete(union):
         raise MatrixError("precondition violated: the union is not functionally complete")
     for i, frag in ((1, f1), (2, f2)):
-        if functionally_complete(frag).complete:
+        if functionally_complete(frag):
             raise MatrixError(f"precondition violated: fragment {i} is already complete")
     for up_idx, up_side, partner in ((1, f1, f2), (2, f2, f1)):
-        if not fragment_in_clone(up_side, "top"):
+        if not inside(up_side.tables(), "P1", "N", "M"):
             continue
-        funcs = [f for _, f in partner.functions]
-        if all(post_predicates(f).self_dual for f in funcs):
+        if inside(partner.tables(), "D"):
             return FcOutcome("Recovered", "D", up_idx)
-        degree = min(separation_degree(f) for f in funcs)
+        degree = min(map(separation_degree, partner.tables()))
         return FcOutcome("Recovered", "T0_inf" if degree == math.inf else f"T0_{degree}", up_idx)
     return FcOutcome("NotRecovered")
 
@@ -933,13 +929,13 @@ def _disj_neg(f1: FragmentSpec, f2: FragmentSpec, want: str) -> list[Check]:
     checks = _fails("excluded middle fails in the product", product, [], goal)
     calc = _merged("B_or", "B_neg", "or_neg")
     checks.append(_derives("interaction rules prove excluded middle", calc, [], goal, 1000))
-    checks.append(_check("the pair is functionally complete", functionally_complete(f1.union(f2)).complete))
+    checks.append(_check("the pair is functionally complete", functionally_complete(f1.union(f2))))
     return checks + _recovery_checks(f1, f2, want)
 
 
 def _coimp_top(f1: FragmentSpec, f2: FragmentSpec, want: str) -> list[Check]:
     checks = _recovery_checks(f1, f2, want)
-    checks.append(_check("the pair is functionally complete", functionally_complete(f1.union(f2)).complete))
+    checks.append(_check("the pair is functionally complete", functionally_complete(f1.union(f2))))
     # coimplication's matrix is not saturated: bounded counterexample
     gamma, delta = standard_saturation_pools("coimp", standard_function("coimp"))
     found = bounded_saturation_check(two_valued_matrix(f1), 5, gamma, delta)

@@ -37,6 +37,8 @@ class SizeCapExceeded(MatrixError):
 
 def size_cap(explicit: Optional[int] = None) -> int:
     if explicit is not None:
+        if explicit < 1:
+            raise ValueError(f"cap (--cap) must be at least 1 (got {explicit})")
         return explicit
     env = os.environ.get("NMFIB_SIZE_CAP")
     if not env:
@@ -61,11 +63,12 @@ def power(matrix: Nmatrix, n: int, cap: Optional[int] = None) -> Nmatrix:
     """
     if n < 1:
         raise MatrixError("power needs n >= 1")
+    limit = size_cap(cap)
     if n == 1:
         return matrix
     total = len(matrix.values) ** n
-    if total > size_cap(cap):
-        raise SizeCapExceeded(f"{total} values exceeds cap {size_cap(cap)}")
+    if total > limit:
+        raise SizeCapExceeded(f"{total} values exceeds cap {limit}")
     decode = {_tuple_name(t): t for t in sorted(itertools.product(matrix.values, repeat=n), key=_tuple_name)}
 
     def cell(base: Mapping[Cell, Cell], args: Cell) -> Cell:
@@ -90,6 +93,7 @@ def strict_product(m1: Nmatrix, m2: Nmatrix, cap: Optional[int] = None) -> Nmatr
     read, then kept.  The result records (m1, m2, decode) as its `factors`,
     where decode maps each value name to its pair.
     """
+    limit = size_cap(cap)
     if not m1.signature.disjoint_from(m2.signature):
         raise MatrixError("strict product needs disjoint signatures")
     d1, d2 = m1.designated, m2.designated
@@ -99,8 +103,8 @@ def strict_product(m1: Nmatrix, m2: Nmatrix, cap: Optional[int] = None) -> Nmatr
         raise MatrixError("strict product needs non-degenerate components")
     pairs = [(a, b) for a in m1.values if a in d1 for b in m2.values if b in d2]
     pairs += [(a, b) for a in u1 for b in u2]
-    if len(pairs) > size_cap(cap):
-        raise SizeCapExceeded(f"{len(pairs)} values exceeds cap {size_cap(cap)}")
+    if len(pairs) > limit:
+        raise SizeCapExceeded(f"{len(pairs)} values exceeds cap {limit}")
     decode = {_tuple_name(p): p for p in sorted(pairs, key=_tuple_name)}
 
     @functools.cache

@@ -705,7 +705,7 @@ def dump_system(matrix: Nmatrix) -> dict:
     return out
 
 
-def two_valued_matrix(fragment, name: str = "", saturated: Optional[bool] = None) -> Nmatrix:
+def two_valued_matrix(fragment) -> Nmatrix:
     """The classical two-valued matrix of a fragment of Boolean connectives."""
     interp = {}
     for conn, f in fragment.functions:
@@ -714,14 +714,6 @@ def two_valued_matrix(fragment, name: str = "", saturated: Optional[bool] = None
             args = tuple("1" if row >> (f.arity - 1 - i) & 1 else "0" for i in range(f.arity))
             cells[args] = ("1",) if f.on_row(row) else ("0",)
         interp[conn] = cells
-    if saturated is None:
-        # exact criterion: saturated iff no connective is very significant
-        saturated = all(not classify(f).very_significant for _, f in fragment.functions)
-    return Nmatrix(
-        fragment.signature,
-        ("0", "1"),
-        ("1",),
-        interp,
-        name=name,
-        saturated=saturated,
-    )
+    # exact criterion: saturated iff no connective is very significant
+    saturated = all(not classify(f).very_significant for _, f in fragment.functions)
+    return Nmatrix(fragment.signature, ("0", "1"), ("1",), interp, saturated=saturated)

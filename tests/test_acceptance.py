@@ -15,11 +15,8 @@ from nmfib.boolfun import (
     BooleanFunction,
     FragmentSpec,
     classify,
-    clone_closure_at_arity,
     functionally_complete,
-    in_clone_and_top_bot,
-    in_clone_biimp,
-    in_clone_top,
+    inside,
     standard_fragment,
     standard_function,
     threshold_function,
@@ -54,6 +51,7 @@ from nmfib.semantics import (
     two_valued_matrix,
 )
 from nmfib.syntax import parse, subformula_closure, text
+from test_clone_reference import reference_closure
 
 
 def report(n, message):
@@ -272,49 +270,47 @@ def test_criterion_07_bottom_witness_valuations():
 
 
 def test_criterion_08_functional_completeness():
-    assert functionally_complete(standard_fragment("or", "neg")).complete
-    assert functionally_complete(standard_fragment("coimp", "top")).complete
-    v = functionally_complete(standard_fragment("and", "or", "top", "bot"))
-    assert not v.complete and v.witness == "M"
-    v = functionally_complete(standard_fragment("iff", "bot"))
-    assert not v.complete and v.witness == "A"
-    report(8, "or+neg and coimp+top complete; and/or/top/bot stuck in M; iff+bot stuck in A")
+    assert functionally_complete(standard_fragment("or", "neg"))
+    assert functionally_complete(standard_fragment("coimp", "top"))
+    frag = standard_fragment("and", "or", "top", "bot")
+    assert not functionally_complete(frag) and inside(frag.tables(), "M")
+    frag = standard_fragment("iff", "bot")
+    assert not functionally_complete(frag) and inside(frag.tables(), "L")
+    report(8, "or+neg and coimp+top complete; and/or/top/bot stuck in M; iff+bot stuck in L")
 
 
 def test_criterion_09_clone_criteria_vs_closure():
+    # each recovery condition names irreducible clones; the brute-force
+    # closure of the clone's generators is the oracle
     gens = {
-        in_clone_top: [standard_function("top")],
-        in_clone_and_top_bot: [
-            standard_function("and"),
-            standard_function("top"),
-            standard_function("bot"),
-        ],
-        in_clone_biimp: [standard_function("iff")],
+        ("P1", "N", "M"): [standard_function("top")],
+        ("E",): [standard_function("and"), standard_function("top"), standard_function("bot")],
+        ("P1", "L"): [standard_function("iff")],
     }
     mismatches = 0
     for k in (1, 2):
-        for test, g in gens.items():
-            closure = clone_closure_at_arity(g, k)
+        for clones, g in gens.items():
+            closure = reference_closure(g, k)
             for bits in range(1 << (1 << k)):
                 f = BooleanFunction(k, bits)
-                if test(f) != (f in closure):
+                if inside([f], *clones) != (f in closure):
                     mismatches += 1
     rng = random.Random(23)
-    closures3 = {test: clone_closure_at_arity(g, 3) for test, g in gens.items()}
+    closures3 = {clones: reference_closure(g, 3) for clones, g in gens.items()}
     for _ in range(500):
         f = BooleanFunction(3, rng.randrange(1 << 8))
-        for test, closure in closures3.items():
-            if test(f) != (f in closure):
+        for clones, closure in closures3.items():
+            if inside([f], *clones) != (f in closure):
                 mismatches += 1
     assert mismatches == 0
-    report(9, "closed-form clone membership agrees with brute-force closure (exhaustive <=2, 500 random ternary)")
+    report(9, "irreducible-clone membership agrees with brute-force closure (exhaustive <=2, 500 random ternary)")
 
 
 def test_criterion_10_saturation_iff_very_significant():
     for k in (1, 2):
         for bits in range(1 << (1 << k)):
             f = BooleanFunction(k, bits)
-            matrix = two_valued_matrix(FragmentSpec.of({"c": f}), saturated=False)
+            matrix = two_valued_matrix(FragmentSpec.of({"c": f}))
             gamma_pool, delta_pool = standard_saturation_pools("c", f)
             found = bool(bounded_saturation_check(matrix, 5, gamma_pool, delta_pool))
             assert found == classify(f).very_significant, (k, f.to_string())

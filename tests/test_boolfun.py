@@ -12,12 +12,9 @@ from nmfib.boolfun import (
     clone_closure_at_arity,
     clone_expressions,
     find_expression,
-    fragment_in_clone,
     function_of_formula,
     functionally_complete,
-    in_clone_and_top_bot,
-    in_clone_biimp,
-    in_clone_top,
+    inside,
     nontop_unary_witness,
     post_predicates,
     separation_degree,
@@ -27,6 +24,7 @@ from nmfib.boolfun import (
     load_fragment,
 )
 from nmfib.syntax import apply_substitution, text, var
+from test_clone_reference import reference_closure
 
 
 def bf(s, k):
@@ -87,15 +85,26 @@ def test_post_predicates_examples():
     assert p_iff.affine and p_iff.preserves1 and not p_iff.preserves0
 
 
+def _clone_of_top(f):
+    return inside([f], "P1", "N", "M")
+
+
+def _clone_of_biimp(f):
+    return inside([f], "P1", "L")
+
+
 def test_clone_membership_examples():
-    assert in_clone_biimp(standard_function("iff"))
-    assert not in_clone_biimp(standard_function("xor"))
-    assert in_clone_biimp(standard_function("xor3"))
-    assert not in_clone_and_top_bot(standard_function("or"))
-    assert in_clone_and_top_bot(standard_function("thr_3_3"))
-    assert in_clone_top(bf("1111", 2))
-    assert in_clone_top(bf("0011", 2))  # first projection
-    assert not in_clone_top(standard_function("and"))
+    assert _clone_of_biimp(standard_function("iff"))
+    assert not _clone_of_biimp(standard_function("xor"))
+    assert _clone_of_biimp(standard_function("xor3"))
+    assert not inside([standard_function("or")], "E")
+    assert inside([standard_function("thr_3_3")], "E")
+    assert inside([standard_function("or"), standard_function("bot")], "V")
+    assert _clone_of_top(bf("1111", 2))
+    assert _clone_of_top(bf("0011", 2))  # first projection
+    assert not _clone_of_top(standard_function("and"))
+    assert inside([standard_function("neg"), bf("1010", 2)], "N")
+    assert not inside([standard_function("xor")], "N")
 
 
 def test_clone_closure_examples():
@@ -114,34 +123,35 @@ def test_clone_closure_examples():
 
 
 def test_closed_forms_agree_with_closure_exhaustively():
+    # the brute-force closure of each clone's generators is the oracle
     gens = {
-        "top": ([standard_function("top")], in_clone_top),
+        "top": ([standard_function("top")], _clone_of_top),
         "atb": (
             [standard_function("and"), standard_function("top"), standard_function("bot")],
-            in_clone_and_top_bot,
+            lambda f: inside([f], "E"),
         ),
-        "biimp": ([standard_function("iff")], in_clone_biimp),
+        "biimp": ([standard_function("iff")], _clone_of_biimp),
         # the partner clones that decide_fc_recovery names in closed form
-        "D": ([standard_function("thr_3_2"), standard_function("neg")], lambda f: post_predicates(f).self_dual),
+        "D": ([standard_function("thr_3_2"), standard_function("neg")], lambda f: inside([f], "D")),
         "T0_inf": ([standard_function("coimp")], lambda f: separation_degree(f) == math.inf),
         "T0_1": ([standard_function("or"), standard_function("coimp")], lambda f: separation_degree(f) >= 1),
         "T0_2": ([standard_function("thr_3_2"), standard_function("coimp")], lambda f: separation_degree(f) >= 2),
     }
     for k in (1, 2, 3):
         for name, (g, test) in gens.items():
-            closure = clone_closure_at_arity(g, k)
+            closure = reference_closure(g, k)
             for bits in range(1 << (1 << k)):
                 f = BooleanFunction(k, bits)
                 assert test(f) == (f in closure), (name, k, f.to_string())
 
 
 def test_functional_completeness_examples():
-    assert functionally_complete(standard_fragment("or", "neg")).complete
-    assert functionally_complete(standard_fragment("coimp", "top")).complete
-    v = functionally_complete(standard_fragment("and", "or", "top", "bot"))
-    assert not v.complete and v.witness == "M"
-    v = functionally_complete(standard_fragment("iff", "bot"))
-    assert not v.complete and v.witness == "A"
+    assert functionally_complete(standard_fragment("or", "neg"))
+    assert functionally_complete(standard_fragment("coimp", "top"))
+    frag = standard_fragment("and", "or", "top", "bot")
+    assert not functionally_complete(frag) and inside(frag.tables(), "M")
+    frag = standard_fragment("iff", "bot")
+    assert not functionally_complete(frag) and inside(frag.tables(), "L")
 
 
 def test_post_predicates_closed_under_composition():
@@ -157,7 +167,7 @@ def test_post_predicates_closed_under_composition():
     for name, pred in preds.items():
         gens = [f for f in pool if pred(f)]
         sample = rng.sample(gens, min(3, len(gens)))
-        for f in clone_closure_at_arity(sample, 2):
+        for f in reference_closure(sample, 2):
             assert pred(f), (name, f.to_string())
 
 
@@ -266,7 +276,11 @@ def test_separation_degree_lifts_0_place_constants():
 
 
 def test_fragment_clone_membership_with_constants():
-    assert fragment_in_clone(standard_fragment("and", "top", "bot"), "and_top_bot")
-    assert not fragment_in_clone(standard_fragment("or"), "and_top_bot")
-    assert fragment_in_clone(standard_fragment("iff", "top"), "biimp")
-    assert not fragment_in_clone(standard_fragment("iff", "bot"), "biimp")
+    assert inside(standard_fragment("and", "top", "bot").tables(), "E")
+    assert not inside(standard_fragment("or").tables(), "E")
+    assert inside(standard_fragment("iff", "top").tables(), "P1", "L")
+    assert not inside(standard_fragment("iff", "bot").tables(), "P1", "L")
+    # a 0-place connective is its unary constant in every irreducible clone
+    for value in (0, 1):
+        for clone in ("P0", "P1", "M", "D", "L", "E", "V", "N"):
+            assert inside([BooleanFunction(0, value)], clone) == inside([BooleanFunction(1, 0b11 * value)], clone)

@@ -60,6 +60,15 @@ def test_classify_line(capsys):
     code, out, _ = run(capsys, "classify", "--arity", "2", "--table", "0001")
     assert code == 0
     assert out.strip() == "projection-conjunction J={1,2}; truth-preserving"
+    for table, line in (
+        ("1111", "top-like; truth-preserving"),
+        ("0000", "bottom-like"),
+        ("0111", "very significant; truth-preserving"),
+    ):
+        assert run(capsys, "classify", "--arity", "2", "--table", table) == (0, line + "\n", "")
+    code, out, _ = run(capsys, "classify", "--arity", "2", "--table", "0111", "--json")
+    post = {"affine": False, "monotone": True, "preserves0": True, "preserves1": True, "self_dual": False}
+    assert code == 0 and json.loads(out)["post"] == post
 
 
 def test_decide_recovery_classical_c(capsys):
@@ -130,6 +139,15 @@ def test_error_exit_code(capsys):
 def test_negative_arity_is_named(capsys):
     code, out, err = run(capsys, "classify", "--arity", "-1", "--table", "1")
     assert (code, out, err) == (1, "", "error: arity -1 is negative\n")
+
+
+@pytest.mark.parametrize(
+    "argv", [("power", "two_valued_or.json", "-n", "2"), ("product", "m3_neg.json", "m3_sim.json")]
+)
+@pytest.mark.parametrize("cap", ["-1", "0"])
+def test_cap_below_one_is_named(capsys, argv, cap):
+    code, out, err = run(capsys, *argv, "--cap", cap)
+    assert (code, out, err) == (1, "", f"error: cap (--cap) must be at least 1 (got {cap})\n")
 
 
 @pytest.mark.parametrize(
@@ -284,6 +302,39 @@ def test_witness_kdet_fc_certify(capsys):
     assert code == 0 and out.splitlines()[0].startswith("NO")
 
 
+def test_certify_rule_filtered_refutation_and_unknown(capsys):
+    # with interaction rules, a failed derivation leaves the refutation to
+    # the rule-filtered product, whose No is tagged heuristic
+    code, out, _ = run(
+        capsys,
+        "certify",
+        "--frag1",
+        "or.json",
+        "--frag2",
+        "or2.json",
+        "--rules",
+        "or_pair.json",
+        "--premises",
+        "or(p,q)",
+        "--goal",
+        "p",
+        "--universe-depth",
+        "0",
+    )
+    lines = out.splitlines()
+    assert code == 0 and lines[:3] == [
+        "NO (power 2) [rule-filtered, heuristic]",
+        "  p |-> ((0,0),(0,0))",
+        "  q |-> ((1,1),(1,1))",
+    ]
+    assert len(lines) == 72 and all(" |-> " in line for line in lines[1:])
+    # holds in the product, but no derivation within one step
+    argv = ["certify", "--frag1", "or.json", "--frag2", "or2.json", "--premises", "or(p,q)", "--goal", "or(q,p)"]
+    assert run(capsys, *argv, "--steps", "1") == (2, "UNKNOWN (power 2, universe depth 2, step cap 1)\n", "")
+    code, out, _ = run(capsys, *argv, "--steps", "1", "--json")
+    assert (code, json.loads(out)) == (2, {"power": 2, "step_cap": 1, "universe_depth": 2, "verdict": "UNKNOWN"})
+
+
 def test_reproduce_all_ids_pass(capsys):
     from nmfib.fibring import CATALOG_IDS
 
@@ -306,6 +357,12 @@ def test_clone_subcommand(capsys):
     lines = out.splitlines()
     assert lines[0] == "4 functions at arity 2"
     assert "contains 0110: no" in out
+    # arity-4 slices are read off Post's lattice: the self-dual clone D and
+    # the clone of 0- and 1-preserving functions, with no closure search
+    start = time.perf_counter()
+    assert run(capsys, "clone", "maj_neg.json", "--arity", "4") == (0, "256 functions at arity 4\n", "")
+    assert time.perf_counter() - start < 1.0
+    assert run(capsys, "clone", "if3.json", "--arity", "4") == (0, "16384 functions at arity 4\n", "")
 
 
 NEG_SIGNATURE = [{"name": "neg", "arity": 1}]

@@ -1,13 +1,18 @@
-"""Differential tests: the clone closure engine against the two loops it replaced.
+"""Differential tests: the clone engines against the loops they replaced.
 
 reference_closure and reference_expressions below are clone_closure_at_arity
 and clone_expressions as they stood when each ran its own copy of the
 frontier loop, and clone_expressions built a formula for every composition
-it tried.  The single engine must find the same tables in the same order,
-so the closures must be equal, find_expression must return the same text
-(or None), and the caps must stop the search on the same inputs.
-reference_in_clone is the closed-form membership as it stood before the
-tests read the taxonomy and took 0-place functions.
+it tried.  clone_closure_at_arity now reads the clone off Post's lattice, so
+it must find the same tables as the brute-force reference_closure wherever
+the reference finishes within its work cap.  clone_expressions still
+searches, and must find the same tables in the same order, so
+find_expression must return the same text (or None).  reference_in_clone is
+the closed-form membership in the clones of top, of conjunction with
+constants and of bi-implication as it stood before the tests read the
+taxonomy and took 0-place functions; the irreducible clones that each
+question names must agree with it.  reference_post_predicates is
+post_predicates as it stood before it read the irreducible clones.
 """
 
 from __future__ import annotations
@@ -21,16 +26,13 @@ import pytest
 from nmfib import syntax
 from nmfib.boolfun import (
     BooleanFunction,
-    ClosureBudgetExceeded,
     FragmentSpec,
     clone_closure_at_arity,
     clone_expressions,
     find_expression,
-    fragment_in_clone,
     functionally_complete,
-    in_clone_and_top_bot,
-    in_clone_biimp,
-    in_clone_top,
+    PostPredicates,
+    inside,
     post_predicates,
     standard_function,
 )
@@ -59,6 +61,10 @@ def _compose_bits(g: BooleanFunction, hs: Sequence[int], k: int) -> int:
                 break
         out |= acc
     return out
+
+
+class ClosureBudgetExceeded(ValueError):
+    """reference_closure hit its size or work cap before completing."""
 
 
 def _frontier_tuples(new_item, older: Sequence, m: int):
@@ -155,6 +161,26 @@ def reference_find(frag: FragmentSpec, target: BooleanFunction, cap: int = 4096)
     return reference_expressions(dict(frag.functions), target.arity, targets=[target.bits], cap=cap).get(target.bits)
 
 
+def reference_post_predicates(f: BooleanFunction) -> PostPredicates:
+    """Post's five predicates as post_predicates computed them before it read
+    the table of irreducible clones: affinity from the algebraic normal form."""
+    rows = 1 << f.arity
+    mono = all(
+        f.on_row(r) <= f.on_row(r | 1 << j) for r in range(rows) for j in range(f.arity) if not r >> j & 1
+    )
+    # Moebius transform over GF(2): coeffs[m] is the coefficient of monomial m
+    coeffs = [f.on_row(r) for r in range(rows)]
+    step = 1
+    while step < rows:
+        for base in range(0, rows, step * 2):
+            for i in range(base, base + step):
+                coeffs[i + step] ^= coeffs[i]
+        step *= 2
+    affine = all(not c for m, c in enumerate(coeffs) if bin(m).count("1") >= 2)
+    dual = all(f.on_row(rows - 1 - r) != f.on_row(r) for r in range(rows))
+    return PostPredicates(not f.on_row(0), bool(f.on_row(rows - 1)), mono, affine, dual)
+
+
 def reference_in_clone(f: BooleanFunction, clone: str) -> bool:
     if f.arity == 0:
         # value 1 lies in every one of the three clones, value 0 only in one
@@ -170,11 +196,12 @@ def reference_in_clone(f: BooleanFunction, clone: str) -> bool:
         for r in ones:
             meet &= r
         return all(f.on_row(r) == (1 if r & meet == meet else 0) for r in range(rows))
-    p = post_predicates(f)
+    p = reference_post_predicates(f)
     return p.affine and p.preserves1
 
 
-CLOSED_FORMS = {"top": in_clone_top, "and_top_bot": in_clone_and_top_bot, "biimp": in_clone_biimp}
+# the irreducible clones whose intersection is each closed-form clone
+CLOSED_FORMS = {"top": ("P1", "N", "M"), "and_top_bot": ("E",), "biimp": ("P1", "L")}
 
 
 # every function of arity at most 2, named by arity and table
@@ -188,7 +215,7 @@ FRAGMENTS = [
 # at arity 3 the tests take every fragment that is not complete and these
 # complete ones: nand, nor, {or, neg} and {imp, bot}.
 COMPLETE_AT_3 = {("c2_1110",), ("c2_1000",), ("c1_10", "c2_0111"), ("c0_0", "c2_1101")}
-FRAGMENTS_AT_3 = [f for f in FRAGMENTS if not functionally_complete(f).complete or f.names() in COMPLETE_AT_3]
+FRAGMENTS_AT_3 = [f for f in FRAGMENTS if not functionally_complete(f) or f.names() in COMPLETE_AT_3]
 TARGETS = [
     *(standard_function(n) for n in ("or", "and", "imp", "iff", "neg", "xor", "xor3", "thr_3_2")),
     BooleanFunction.from_string("00000111", 3),
@@ -218,45 +245,47 @@ def test_closure_agrees_with_reference():
             assert clone_closure_at_arity(gens, k) == reference_closure(gens, k), (frag.names(), k)
 
 
+# The reference tries n^m tuples for each m-place generator of a clone with
+# n tables at the arity, so this work cap stops it on the large arity-3
+# slices of ternary generators (over 12 tables for one ternary generator);
+# only those cases are skipped.
+SWEEP_WORK_CAP = 2000
+
+
+def test_closure_of_ternary_generators_agrees_with_reference():
+    # every single arity-3 function and seeded (arity-3, arity <= 2) pairs,
+    # at arities 1 to 3
+    rng = random.Random(16)
+    ternary = [BooleanFunction(3, bits) for bits in range(256)]
+    gen_sets = [[f] for f in ternary]
+    gen_sets += [[rng.choice(ternary), rng.choice(FUNCTIONS)] for _ in range(20)]
+    checked = skipped = 0
+    for gens in gen_sets:
+        for k in (1, 2, 3):
+            try:
+                want = reference_closure(gens, k, work_cap=SWEEP_WORK_CAP)
+            except ClosureBudgetExceeded:
+                skipped += 1
+                continue
+            assert clone_closure_at_arity(gens, k) == want, ([str(f) for f in gens], k)
+            checked += 1
+    assert (checked, skipped) == (517, 311)
+
+
 def test_closed_forms_agree_with_reference():
     # every function of arity 0 to 3, and a sample of arity 4
     rng = random.Random(10)
     funcs = [BooleanFunction(k, bits) for k in range(4) for bits in range(1 << (1 << k))]
     funcs += [BooleanFunction(4, rng.randrange(1 << 16)) for _ in range(3000)]
     for f in funcs:
-        for clone, test in CLOSED_FORMS.items():
-            assert test(f) == reference_in_clone(f, clone), (clone, f.arity, str(f))
+        for clone, irreducibles in CLOSED_FORMS.items():
+            assert inside([f], *irreducibles) == reference_in_clone(f, clone), (clone, f.arity, str(f))
+        if f.arity:
+            assert post_predicates(f) == reference_post_predicates(f), (f.arity, str(f))
     for frag in FRAGMENTS:
-        for clone in CLOSED_FORMS:
+        for clone, irreducibles in CLOSED_FORMS.items():
             want = all(reference_in_clone(f, clone) for _, f in frag.functions)
-            assert fragment_in_clone(frag, clone) == want, (frag.names(), clone)
-
-
-def _outcome(fn, *args, **kwargs):
-    try:
-        return fn(*args, **kwargs)
-    except ClosureBudgetExceeded as exc:
-        return str(exc)
-
-
-def test_closure_caps_raise_on_the_same_inputs():
-    gen_sets = [
-        [standard_function("imp")],
-        [standard_function("or"), standard_function("neg")],
-        [standard_function("thr_3_2"), standard_function("coimp")],
-        [standard_function("and"), standard_function("bot"), standard_function("top")],
-        [standard_function("xor3")],
-    ]
-    raised = 0
-    for gens in gen_sets:
-        for k in (2, 3):
-            for cap in (2, 5, 20, 200):
-                for work_cap in (10, 100, 1000, 20000):
-                    got = _outcome(clone_closure_at_arity, gens, k, cap=cap, work_cap=work_cap)
-                    assert got == _outcome(reference_closure, gens, k, cap=cap, work_cap=work_cap)
-                    raised += isinstance(got, str)
-    # both caps are met, and neither on every input
-    assert 0 < raised < len(gen_sets) * 2 * 4 * 4
+            assert inside(frag.tables(), *irreducibles) == want, (frag.names(), clone)
 
 
 def test_expressions_under_a_small_cap_agree_with_reference():

@@ -45,6 +45,7 @@ from nmfib.matrixops import matrices_equal, strict_product
 from nmfib.semantics import Fails, MatrixError, entails, load_system, two_valued_matrix
 from nmfib.boolfun import load_fragment
 from nmfib.syntax import Signature, parse, text
+from test_clone_reference import reference_closure
 
 SYSTEMS = Path(__file__).resolve().parents[1] / "src" / "nmfib" / "systems"
 
@@ -291,16 +292,17 @@ def _lifted(frag: FragmentSpec) -> FragmentSpec:
 
 def _fc_clone_by_closure(frag: FragmentSpec):
     """The clone of frag among D, T0_inf and T0_1..T0_3 by mutual generator
-    membership under clone_closure_at_arity: the frag's members lie in the
-    closure of the clone's generators and the generators in the frag's."""
+    membership under the brute-force reference_closure: the frag's members
+    lie in the closure of the clone's generators and the generators in the
+    frag's."""
     # closures run at arity >= 1, so 0-place members enter as unary constants
     funcs = [f for _, f in _lifted(frag).functions]
     targets = [("D", ("thr_3_2", "neg")), ("T0_inf", ("coimp",))]
     targets += [(f"T0_{k}", (f"thr_{k + 1}_{k}", "coimp")) for k in (1, 2, 3)]
     for clone, names in targets:
         gens = [standard_function(name) for name in names]
-        if all(g in clone_closure_at_arity(funcs, g.arity) for g in gens) and all(
-            f in clone_closure_at_arity(gens, f.arity) for f in funcs
+        if all(g in reference_closure(funcs, g.arity) for g in gens) and all(
+            f in reference_closure(gens, f.arity) for f in funcs
         ):
             return clone
     return None
@@ -344,7 +346,7 @@ def test_fc_recovery_agrees_with_closure():
     for size in (1, 2):
         for funcs in itertools.combinations(pool, size):
             frag = FragmentSpec.of({f"c{i}": f for i, f in enumerate(funcs)})
-            if functionally_complete(frag).complete or not functionally_complete(frag.union(top)).complete:
+            if functionally_complete(frag) or not functionally_complete(frag.union(top)):
                 continue
             clone = _fc_clone_by_closure(frag)
             assert clone is not None, frag

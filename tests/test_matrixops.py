@@ -66,6 +66,15 @@ def test_power_cap_env_override(monkeypatch):
             power(m, 2)
 
 
+def test_explicit_cap_below_one_is_named():
+    m = two_valued_matrix(standard_fragment("neg"))
+    other = two_valued_matrix(standard_fragment("and"))
+    for cap in (0, -1):
+        for build in (lambda: power(m, 1, cap=cap), lambda: strict_product(m, other, cap=cap)):
+            with pytest.raises(ValueError, match=re.escape(f"cap (--cap) must be at least 1 (got {cap})")):
+                build()
+
+
 def test_power_preserves_consequence_on_samples():
     rng = random.Random(2)
     frag = standard_fragment("or")
@@ -345,7 +354,8 @@ _TABLES_LE2 = ["0", "1"] + [
 @pytest.mark.parametrize("table", _TABLES_LE2)
 def test_power_matches_reference_on_every_small_connective(table, n):
     arity = {1: 0, 2: 1, 4: 2}[len(table)]
-    m = two_valued_matrix(FragmentSpec.of({"c": BooleanFunction.from_string(table, arity)}), name="m")
+    m = two_valued_matrix(FragmentSpec.of({"c": BooleanFunction.from_string(table, arity)}))
+    m.name = "m"  # the power's name is derived from it
     built = power(m, n)
     assert built.power_of == (m, n)
     _assert_same_matrix(built, reference_power(m, n))

@@ -27,8 +27,8 @@ from nmfib.fibring import catalog_fragments, fibred_semantics, three_valued_nega
 
 OR = standard_fragment("or")
 NEG = standard_fragment("neg")
-M_OR = two_valued_matrix(OR, name="2_or")
-M_NEG = two_valued_matrix(NEG, name="2_neg")
+M_OR = two_valued_matrix(OR)
+M_NEG = two_valued_matrix(NEG)
 
 
 def fsig(*names, **kw):
@@ -213,7 +213,7 @@ def test_respects_rule_examples():
     assert not respects_rule(bad, axiom, universe)
 
     # premise designated, conclusion not: explosion rule violated
-    mbot = two_valued_matrix(FragmentSpec.of({"bt": BooleanFunction.from_string("1", 0)}), saturated=True)
+    mbot = two_valued_matrix(FragmentSpec.of({"bt": BooleanFunction.from_string("1", 0)}))
     sigb = mbot.signature
     btf = parse("bt", sigb)
     q = parse("q", sigb)
