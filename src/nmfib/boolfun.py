@@ -8,12 +8,15 @@ first, so the classical 'or' is "0111".
 Post's lattice is written down once, as the member tests of its
 meet-irreducible clones (P0, P1, M, D, L, E, V, N) together with the
 separation degree of a function and of its dual.  Each question names the
-irreducibles it needs (inside), and the k-ary slice of the clone of a set of
-functions (clone_closure_at_arity) is read off the same tests, with no
-search.  A 0-place function counts as its unary constant throughout.  Derived
+irreducibles it needs (inside), and membership in the clone of a set of
+functions is one predicate built from the same tests (_clone_test): the
+k-ary slice of the clone (clone_closure_at_arity) is read off it with no
+search, and it decides whether a table is expressible (find_expression).  A
+0-place function counts as its unary constant throughout.  Derived
 connectives come from one search, _closure, which yields each new table of a
 clone once, with a recipe for it; clone_expressions turns the recipes into
-formulas, building one formula per table it keeps.
+formulas, building one formula per table it keeps.  The search only builds
+the formula of a table the lattice has already placed in the clone.
 """
 
 from __future__ import annotations
@@ -363,7 +366,7 @@ def _check_closure_arity(k: int) -> None:
         raise ValueError("closure arity must be between 1 and 4")
 
 
-def _closure(named_gens: Sequence[tuple[str, BooleanFunction]], k: int, cap: int) -> Iterator[tuple[int, object]]:
+def _closure(named_gens: Sequence[tuple[str, BooleanFunction]], k: int) -> Iterator[tuple[int, object]]:
     """Each table of the k-ary slice of the clone of the named generators,
     once, in discovery order, with a recipe for it: the index j of the
     projection p_j, or (name, argument tables) for a generator applied to
@@ -371,8 +374,7 @@ def _closure(named_gens: Sequence[tuple[str, BooleanFunction]], k: int, cap: int
 
     After the projections and the 0-place constants, each table in turn is
     the frontier: every generator, in the given order, is applied to each
-    tuple of known tables that holds the frontier.  The search stops once
-    more than cap tables are known when a frontier is taken.
+    tuple of known tables that holds the frontier.
     """
     _check_closure_arity(k)
     full = (1 << (1 << k)) - 1
@@ -391,8 +393,6 @@ def _closure(named_gens: Sequence[tuple[str, BooleanFunction]], k: int, cap: int
     have = set(order)
     # order grows while it is walked: every table found becomes a frontier
     for frontier, f_new in enumerate(order):
-        if len(order) > cap:
-            return
         older = order[:frontier]
         for name, m, minterms in ops:
             for hs in _frontier_tuples(f_new, older, m):
@@ -403,14 +403,13 @@ def _closure(named_gens: Sequence[tuple[str, BooleanFunction]], k: int, cap: int
                     yield bits, (name, tuple(hs))
 
 
-def clone_closure_at_arity(generators: Iterable[BooleanFunction], k: int) -> frozenset[BooleanFunction]:
-    """The k-ary slice of the clone generated by the given functions: the
-    tables that lie in every irreducible clone holding the generators, and
-    whose separation degree, and that of their dual, is no less than the
-    generators' least one.  A generator's degree of at most 1 is already
-    read as P0 (P1 for the dual), so only a larger one is tested.
+def _clone_test(generators: Iterable[BooleanFunction]) -> Callable[[int, int], bool]:
+    """The member test of the clone generated by the given functions, on a
+    table given as (arity, bits): it lies in every irreducible clone holding
+    the generators, and its separation degree, and that of its dual, is no
+    less than the generators' least one.  A generator's degree of at most 1
+    is already read as P0 (P1 for the dual), so only a larger one is tested.
     """
-    _check_closure_arity(k)
     gens = [_lift(f) for f in generators]
     tests = [test for c, test in _IRREDUCIBLE.items() if inside(gens, c)]
     degree = min(map(separation_degree, gens), default=math.inf)
@@ -419,27 +418,33 @@ def clone_closure_at_arity(generators: Iterable[BooleanFunction], k: int) -> fro
         tests.append(lambda k, bits: _degree(k, bits) >= degree)
     if dual > 1:
         tests.append(lambda k, bits: _degree(k, _dual(k, bits)) >= dual)
-    return frozenset(
-        BooleanFunction(k, bits) for bits in range(1 << (1 << k)) if all(test(k, bits) for test in tests)
-    )
+    return lambda k, bits: all(test(k, bits) for test in tests)
+
+
+def clone_closure_at_arity(generators: Iterable[BooleanFunction], k: int) -> frozenset[BooleanFunction]:
+    """The k-ary slice of the clone generated by the given functions: the
+    tables that pass its member test."""
+    _check_closure_arity(k)
+    member = _clone_test(generators)
+    return frozenset(BooleanFunction(k, bits) for bits in range(1 << (1 << k)) if member(k, bits))
 
 
 def clone_expressions(
     generators: Mapping[str, BooleanFunction],
     k: int,
     targets: Optional[Iterable[int]] = None,
-    cap: int = 4096,
 ) -> dict[int, Formula]:
     """Derived connectives over the generator names, written in p1..pk: one
     for each table of the k-ary slice of the generators' clone, keyed by
     the table's bits.
 
     Discovery order, so returned expressions stay small.  Stops early once
-    all requested target tables are found; gives up quietly at the cap.
+    all requested target tables are found; a target outside the clone makes
+    the search run through the whole slice.
     """
     want = set(targets) if targets is not None else None
     found: dict[int, Formula] = {}
-    for bits, recipe in _closure(sorted(generators.items()), k, cap):
+    for bits, recipe in _closure(sorted(generators.items()), k):
         if isinstance(recipe, int):
             found[bits] = var(f"p{recipe}")
         else:
@@ -452,10 +457,14 @@ def clone_expressions(
     return found
 
 
-def find_expression(frag: FragmentSpec, target: BooleanFunction, cap: int = 4096) -> Optional[Formula]:
-    """A derived connective of the fragment computing the target table, if
-    one is found within the search cap."""
-    return clone_expressions(dict(frag.functions), target.arity, targets=[target.bits], cap=cap).get(target.bits)
+def find_expression(frag: FragmentSpec, target: BooleanFunction) -> Optional[Formula]:
+    """A derived connective of the fragment computing the target table, or
+    None when the target lies outside the fragment's clone; the search
+    runs only for a member, which it always reaches."""
+    _check_closure_arity(target.arity)
+    if not _clone_test(frag.tables())(target.arity, target.bits):
+        return None
+    return clone_expressions(dict(frag.functions), target.arity, targets=[target.bits])[target.bits]
 
 
 def function_of_formula(phi: Formula, frag: FragmentSpec, k: int) -> BooleanFunction:

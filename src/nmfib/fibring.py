@@ -2,10 +2,10 @@
 
 The combined consequence relation of two matrix-defined logics over disjoint
 signatures is captured by a strict product of powers of the component
-matrices.  A component known to be saturated (a two-valued matrix none of
-whose connectives is very significant, or a catalog matrix carrying the
-saturation flag) enters at power 1; otherwise the requested finite power is
-used.  Countermodels found at any finite power transfer to the combined
+matrices.  Both components are fragments of classical logic, read as
+two-valued matrices; one known to be saturated (none of its connectives is
+very significant) enters at power 1, the other at the requested finite
+power.  Countermodels found at any finite power transfer to the combined
 logic, so refutations are certificates; positive verdicts come from
 derivations in the merged Hilbert calculi.
 
@@ -88,8 +88,6 @@ from .syntax import (
 
 __all__ = [
     "Sequent",
-    "Component",
-    "component_matrix",
     "fibred_semantics",
     "truth_preserving_bot_matrix",
     "Classical",
@@ -133,23 +131,17 @@ class Sequent:
         return f"{prem} |- {text(self.conclusion)}" if prem else f"|- {text(self.conclusion)}"
 
 
-Component = Union[FragmentSpec, Nmatrix]
-
-
-def component_matrix(comp: Component) -> Nmatrix:
-    if isinstance(comp, FragmentSpec):
-        return two_valued_matrix(comp)
-    return comp
-
-
-def fibred_semantics(comp1: Component, comp2: Component, n: int) -> Nmatrix:
+def fibred_semantics(f1: FragmentSpec, f2: FragmentSpec, n: int) -> Nmatrix:
     """The strict product of component powers characterizing the combination.
 
-    Saturated components are used at power 1; the others at power n.  A
-    countermodel in the result embeds into every higher power (duplicate a
-    coordinate), so refutations here are sound for the combined logic.
+    Saturated components are used at power 1; the others at power n, which
+    must be at least 1 either way.  A countermodel in the result embeds into
+    every higher power (duplicate a coordinate), so refutations here are
+    sound for the combined logic.
     """
-    m1, m2 = component_matrix(comp1), component_matrix(comp2)
+    if n < 1:
+        raise ValueError(f"power (--power) must be at least 1 (got {n})")
+    m1, m2 = two_valued_matrix(f1), two_valued_matrix(f2)
     if not m1.signature.disjoint_from(m2.signature):
         raise MatrixError("combined semantics needs disjoint signatures")
     return strict_product(
@@ -460,15 +452,9 @@ class Unknown:
 CertifyVerdict = Union[Yes, No, Unknown]
 
 
-def _component_calculus(comp: Component) -> HilbertCalculus:
-    if isinstance(comp, FragmentSpec):
-        return auto_calculus(comp)
-    return HilbertCalculus.of(comp.signature, ())
-
-
 def certify_entailment(
-    f1: Component,
-    f2: Component,
+    f1: FragmentSpec,
+    f2: FragmentSpec,
     extra_rules: Optional[HilbertCalculus],
     premises: Iterable[Formula],
     conclusion: Formula,
@@ -485,15 +471,12 @@ def certify_entailment(
     must respect the rules: the derivation runs first, and a failed
     rule-filtered product query yields a No tagged heuristic (rule respect
     is only checked within the bounded universe).  Unknown reports the
-    bounds when both searches fail.
-
-    Components may be catalog Nmatrices instead of fragments (e.g. the
-    saturated 3-valued negation matrices at power 1); they contribute no
-    rules to the derivation side.
+    bounds when both searches fail.  Both components are fragments; the
+    merged calculi are those auto_calculus gives each of them.
     """
     premises = canon_sort(premises)
     product = fibred_semantics(f1, f2, n)
-    calc = merge(_component_calculus(f1), _component_calculus(f2))
+    calc = merge(auto_calculus(f1), auto_calculus(f2))
 
     def derived(rules: HilbertCalculus) -> Optional[Yes]:
         found = derive(rules, premises, conclusion, universe_depth=universe_depth, step_cap=step_cap)
@@ -511,9 +494,7 @@ def certify_entailment(
     yes = derived(merge(calc, extra_rules))
     if yes:
         return yes
-    filtered = filter_valuations_by_rules(
-        product, extra_rules.rules, premises, conclusion, saturated=product.saturated
-    )
+    filtered = filter_valuations_by_rules(product, extra_rules.rules, premises, conclusion)
     if isinstance(filtered.verdict, Fails):
         return No(filtered.verdict.countermodel, n, exactness=filtered.exactness)
     return Unknown(n, universe_depth, step_cap)
@@ -650,15 +631,14 @@ def phi_t_family(
     c1: tuple[str, BooleanFunction],
     c2: tuple[str, BooleanFunction],
     t_max: int,
-    n: int = 3,
-    n_cap: int = 4,
-) -> tuple[list[Formula], int]:
+    n: int,
+) -> list[Formula]:
     """The formulas phi_0..phi_t_max built from a very significant connective
     and a non-top-like partner, pairwise non-equivalent in the product.
 
     theta-nestings of the partner fill the non-projective slots, shifted by
-    t.  Non-equivalence is checked at power n and escalated on failure up to
-    n_cap; the power actually used is returned.
+    t.  Non-equivalence is checked in the product at power n; WitnessNotFound
+    when two members are equivalent there.
     """
     name1, g1 = c1
     name2, g2 = c2
@@ -671,16 +651,11 @@ def phi_t_family(
     phis = [_phi_t(name1, g1, theta, t) for t in range(t_max + 1)]
     f1 = FragmentSpec.of({name1: g1})
     f2 = FragmentSpec.of({name2: g2})
-    for level in range(n, n_cap + 1):
-        product = fibred_semantics(f1, f2, level)
-        ok = True
-        for a, b in itertools.combinations(range(len(phis)), 2):
-            if logically_equivalent(product, [phis[a]], [phis[b]]):
-                ok = False
-                break
-        if ok:
-            return phis, level
-    raise WitnessNotFound(f"family members not separated up to power {n_cap}")
+    product = fibred_semantics(f1, f2, n)
+    for a, b in itertools.combinations(phis, 2):
+        if logically_equivalent(product, [a], [b]):
+            raise WitnessNotFound(f"family members not separated at power {n}")
+    return phis
 
 
 def standard_saturation_pools(name: str, f: BooleanFunction) -> tuple[list[Formula], list[Formula]]:
@@ -866,8 +841,8 @@ def _two_disj(f1: FragmentSpec, f2: FragmentSpec, want: str) -> list[Check]:
     checks.append(_derives("interaction rules derive the mixed disjunction", calc, [prem], goal, 1000))
     probe = k_determinedness_probe(f1, f2, 1, n=3)
     checks.append(_check("not 1-determined (power 3)", bool(probe)))
-    phis, level = phi_t_family(("or", standard_function("or")), ("or2", standard_function("or")), 2, n=3)
-    checks.append(_check("phi_t family pairwise distinct", len(phis) == 3, f"power {level}"))
+    phis = phi_t_family(("or", standard_function("or")), ("or2", standard_function("or")), 2, n=3)
+    checks.append(_check("phi_t family pairwise distinct", len(phis) == 3, "power 3"))
     return checks + _recovery_checks(f1, f2, want)
 
 
@@ -883,7 +858,7 @@ def _two_neg(f1: FragmentSpec, f2: FragmentSpec, want: str) -> list[Check]:
     np_, sp = parse("neg(p)", sig), parse("sim(p)", sig)
     checks += _fails("neg p does not give sim p", product, [np_], sp, _REVERIFIES)
     pair = builtin_calculus("neg_pair")
-    filtered = filter_valuations_by_rules(product, pair.rules, [np_], sp, saturated=True)
+    filtered = filter_valuations_by_rules(product, pair.rules, [np_], sp)
     checks.append(_check("filtered semantics validates neg p |- sim p", bool(filtered)))
     checks.append(_check("filtering is exact (saturated)", filtered.exactness == "exact"))
 

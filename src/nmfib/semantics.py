@@ -569,18 +569,17 @@ def filter_valuations_by_rules(
     rules: Sequence,
     premises: Iterable[Formula],
     conclusion: Formula,
-    saturated: bool = False,
 ) -> FilteredVerdict:
     """Entailment over the partial valuations respecting every rule within
     the universe, the subformulas of the sequent.
 
-    The result is semantically exact when the caller declares the matrix
-    saturated or when the rules are all axioms; otherwise it is tagged as a
-    heuristic (rule-respect is only checked within the universe).
+    The result is semantically exact when the matrix is marked saturated or
+    when the rules are all axioms; otherwise it is tagged as a heuristic
+    (rule-respect is only checked within the universe).
     """
     premises = canon_sort(premises)
     matrix.check_formulas(premises + [conclusion])
-    exact = saturated or all(not r.premises for r in rules)
+    exact = matrix.saturated or all(not r.premises for r in rules)
     universe = subformula_closure(premises + [conclusion])
 
     instances = []

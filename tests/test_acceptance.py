@@ -136,7 +136,7 @@ def test_criterion_03_two_negations():
     purged = restrict_values(product, {"(0,0)", f"({h},{h})", "(1,1)"})
     assert purged.deterministic()
 
-    filtered = filter_valuations_by_rules(product, pair.rules, [np_], sp, saturated=True)
+    filtered = filter_valuations_by_rules(product, pair.rules, [np_], sp)
     assert bool(filtered)
     report(3, "5-valued tables match; neg p fails to give sim p; the rules purge exactly the two mixed values and validate it")
 
@@ -380,10 +380,8 @@ def test_criterion_12_k_determinedness():
 
 
 def test_criterion_13_phi_t_family():
-    phis, level = phi_t_family(
-        ("or", standard_function("or")), ("or2", standard_function("or")), 2, n=3, n_cap=3
-    )
-    assert len(phis) == 3 and level == 3
+    phis = phi_t_family(("or", standard_function("or")), ("or2", standard_function("or")), 2, n=3)
+    assert len(phis) == 3
     report(13, "phi_0, phi_1, phi_2 pairwise non-equivalent at power 3")
 
 

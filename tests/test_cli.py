@@ -150,6 +150,22 @@ def test_cap_below_one_is_named(capsys, argv, cap):
     assert (code, out, err) == (1, "", f"error: cap (--cap) must be at least 1 (got {cap})\n")
 
 
+# and/and2 are both saturated, so no side is raised to the power; or/or2 are not
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("certify", "--frag1", "and.json", "--frag2", "and2.json", "--premises", "p", "--goal", "q"),
+        ("certify", "--frag1", "or.json", "--frag2", "or2.json", "--premises", "p", "--goal", "q"),
+        ("kdet", "and.json", "and2.json"),
+        ("kdet", "or.json", "or2.json"),
+    ],
+)
+@pytest.mark.parametrize("power", ["0", "-3"])
+def test_power_below_one_is_named(capsys, argv, power):
+    code, out, err = run(capsys, *argv, "--power", power)
+    assert (code, out, err) == (1, "", f"error: power (--power) must be at least 1 (got {power})\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -6,8 +6,9 @@ frontier loop, and clone_expressions built a formula for every composition
 it tried.  clone_closure_at_arity now reads the clone off Post's lattice, so
 it must find the same tables as the brute-force reference_closure wherever
 the reference finishes within its work cap.  clone_expressions still
-searches, and must find the same tables in the same order, so
-find_expression must return the same text (or None).  reference_in_clone is
+searches, and must find the same tables in the same order.  find_expression
+answers None from the lattice before any search, and must return the same
+text (or None) as the reference's search.  reference_in_clone is
 the closed-form membership in the clones of top, of conjunction with
 constants and of bi-implication as it stood before the tests read the
 taxonomy and took 0-place functions; the irreducible clones that each
@@ -23,7 +24,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import pytest
 
-from nmfib import syntax
+from nmfib import bundled, syntax
 from nmfib.boolfun import (
     BooleanFunction,
     FragmentSpec,
@@ -33,6 +34,7 @@ from nmfib.boolfun import (
     functionally_complete,
     PostPredicates,
     inside,
+    load_fragment,
     post_predicates,
     standard_function,
 )
@@ -216,6 +218,7 @@ FRAGMENTS = [
 # complete ones: nand, nor, {or, neg} and {imp, bot}.
 COMPLETE_AT_3 = {("c2_1110",), ("c2_1000",), ("c1_10", "c2_0111"), ("c0_0", "c2_1101")}
 FRAGMENTS_AT_3 = [f for f in FRAGMENTS if not functionally_complete(f) or f.names() in COMPLETE_AT_3]
+BUNDLED_FRAGMENTS = [load_fragment(bundled.read(f"{stem}.json", "fragment", builtin=True)) for stem in bundled.stems("fragment")]
 TARGETS = [
     *(standard_function(n) for n in ("or", "and", "imp", "iff", "neg", "xor", "xor3", "thr_3_2")),
     BooleanFunction.from_string("00000111", 3),
@@ -230,11 +233,14 @@ def test_fragments_cover_one_and_two_connectives():
     assert len(FUNCTIONS) == 22
     assert len(FRAGMENTS) == 22 + 231
     assert len(FRAGMENTS_AT_3) == 172 + len(COMPLETE_AT_3)
+    assert len(BUNDLED_FRAGMENTS) == 21
 
 
 @pytest.mark.parametrize("target", TARGETS, ids=str)
 def test_find_expression_agrees_with_reference(target):
-    for frag in FRAGMENTS if target.arity < 3 else FRAGMENTS_AT_3:
+    # the bundled fragments bring ternary generators (if3, maj_neg, bowtie,
+    # xor3, thr_3_2), whose separation degrees the membership test reads
+    for frag in [*(FRAGMENTS if target.arity < 3 else FRAGMENTS_AT_3), *BUNDLED_FRAGMENTS]:
         assert _text(find_expression(frag, target)) == _text(reference_find(frag, target)), (frag.names(), target)
 
 
@@ -288,24 +294,29 @@ def test_closed_forms_agree_with_reference():
             assert inside(frag.tables(), *irreducibles) == want, (frag.names(), clone)
 
 
-def test_expressions_under_a_small_cap_agree_with_reference():
+def test_whole_slice_expressions_agree_with_reference():
     for names in (("imp",), ("or", "neg"), ("coimp",), ("thr_3_2", "neg")):
         gens = {n: standard_function(n) for n in names}
         for k in (2, 3):
-            for cap in (3, 10, 40):
-                got = clone_expressions(gens, k, cap=cap)
-                want = reference_expressions(gens, k, cap=cap)
-                assert list(got) == list(want), (names, k, cap)
-                assert [text(e) for e in got.values()] == [text(e) for e in want.values()]
+            got = clone_expressions(gens, k)
+            want = reference_expressions(gens, k, cap=1 << (1 << k))
+            assert list(got) == list(want), (names, k)
+            assert [text(e) for e in got.values()] == [text(e) for e in want.values()]
+            assert set(got) == {f.bits for f in clone_closure_at_arity(gens.values(), k)}, (names, k)
 
 
 def test_find_expression_interns_only_what_it_keeps():
-    # fresh connective names, so none of the candidate formulas exist yet;
-    # every formula a search builds must be one of the expressions it keeps
+    # fresh connective names, so none of the candidate formulas exist yet
     gens = {"pool_coimp": standard_function("coimp")}
-    target = standard_function("thr_3_2")
+    frag = FragmentSpec.of(gens)
+    # a target outside the clone is answered before any formula is built
+    outside = standard_function("thr_3_2")
     before = set(syntax._pool)
-    assert find_expression(FragmentSpec.of(gens), target) is None
+    assert find_expression(frag, outside) is None
+    assert set(syntax._pool) == before
+    # every formula a search for a member builds is one of the expressions it keeps
+    member = BooleanFunction.from_string("00000111", 3)
+    assert find_expression(frag, member) is not None
     added = [syntax._pool[key] for key in syntax._pool if key not in before]
-    kept = set(clone_expressions(gens, target.arity, targets=[target.bits]).values())
+    kept = set(clone_expressions(gens, member.arity, targets=[member.bits]).values())
     assert added and all(phi in kept for phi in added)

@@ -54,9 +54,6 @@ def test_fibred_semantics_examples():
     f_and, f_and2 = catalog_fragments("two_conj")
     assert len(fibred_semantics(f_and, f_and2, 3).values) == 2  # both saturated
 
-    m5 = fibred_semantics(three_valued_negation_matrix("neg"), three_valued_negation_matrix("sim"), 1)
-    assert len(m5.values) == 5
-
     f_imp, f_bot = catalog_fragments("imp_bot")
     m4 = fibred_semantics(f_imp, f_bot, 2)
     assert len(m4.values) == 4  # implication squared, falsum at power 1
@@ -180,17 +177,6 @@ def test_certify_entailment_examples():
         universe_depth=1,
     )
     assert isinstance(v, Yes)
-
-
-def test_certify_with_catalog_matrices():
-    # the saturated 3-valued components decide the two-negations failure at power 1
-    m1 = three_valued_negation_matrix("neg")
-    m2 = three_valued_negation_matrix("sim")
-    sig = m1.signature.union(m2.signature)
-    v = certify_entailment(m1, m2, None, [parse("neg(p)", sig)], parse("sim(p)", sig), n=1)
-    assert isinstance(v, No) and v.power_used == 1
-    assert v.countermodel.matrix.values == fibred_semantics(m1, m2, 1).values
-    assert v.countermodel.check()
 
 
 def test_decide_recovery_beyond_the_catalog():
@@ -368,19 +354,19 @@ def test_kdet_probe():
 
 
 def test_phi_t_family():
-    phis, level = phi_t_family(("or", standard_function("or")), ("or2", standard_function("or")), 2, n=3)
-    assert len(phis) == 3 and level == 3
+    phis = phi_t_family(("or", standard_function("or")), ("or2", standard_function("or")), 2, n=3)
+    assert len(phis) == 3
     assert text(phis[0]) == "or(or2(p,p),or2(or2(p,p),or2(p,p)))"
-    single, _ = phi_t_family(("or", standard_function("or")), ("or2", standard_function("or")), 0, n=2)
+    single = phi_t_family(("or", standard_function("or")), ("or2", standard_function("or")), 0, n=2)
     assert len(single) == 1
     # implication has no projective slots, so both arguments carry nestings
-    phis2, _ = phi_t_family(("imp", standard_function("imp")), ("neg", standard_function("neg")), 1, n=3)
+    phis2 = phi_t_family(("imp", standard_function("imp")), ("neg", standard_function("neg")), 1, n=3)
     assert len(phis2) == 2
     assert text(phis2[0]) == "imp(neg(p),neg(neg(p)))"
     with pytest.raises(ValueError):
-        phi_t_family(("and", standard_function("and")), ("neg", standard_function("neg")), 1)
+        phi_t_family(("and", standard_function("and")), ("neg", standard_function("neg")), 1, n=3)
     with pytest.raises(ValueError):
-        phi_t_family(("or", standard_function("or")), ("top", standard_function("top")), 1)
+        phi_t_family(("or", standard_function("or")), ("top", standard_function("top")), 1, n=3)
 
 
 def test_witness_machinery_directly():

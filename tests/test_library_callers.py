@@ -1,5 +1,6 @@
 """Every top-level function and class of the library, and every method of
-a top-level class, has a non-test caller.
+a top-level class, has a non-test caller; and each of their parameters with
+a default is passed by one.
 
 A definition counts as called when its name is read (as a name or as an
 attribute) outside its own body: elsewhere in ``src/nmfib``, or in
@@ -8,6 +9,13 @@ a name read inside a function (or a function nested in it) that binds the
 name itself, as a parameter or as an assignment, loop or comprehension
 target: that read is of the local.  Dunder names such as ``__getattr__`` or
 ``__bool__`` are called by the interpreter and are exempt.
+
+A parameter with a default counts as passed when a call of a function of
+its name (as a name or as an attribute), outside the function's own body,
+gives it by keyword, or gives enough positional arguments to reach it; a
+call with ``*args`` or ``**kwargs`` passes every parameter it could reach.
+An ``__init__`` is called by its class's name.  A parameter no caller
+passes is an option no caller sets.
 """
 
 from __future__ import annotations
@@ -17,13 +25,16 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# definitions kept without a library caller, each with its reason
+# definitions kept without a library caller, and parameters, written
+# name(parameter), kept without one that passes them, each with its reason
 ALLOWED = {
     "standard_fragment": "the documented library entry point for the classical fragments",
+    "standard_fragment(rename)": "documented in the README: a second copy of a connective under another name",
 }
 
-_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+_DEFINITIONS = (*_DEFS, ast.ClassDef)
+_FUNCTIONS = (*_DEFS, ast.Lambda)
 
 
 def _bindings(function: ast.AST) -> set[str]:
@@ -87,18 +98,90 @@ def uncalled_definitions(modules: dict[str, str], callers: dict[str, str]) -> li
     return out
 
 
+def _calls(tree: ast.AST) -> dict[str, list[ast.Call]]:
+    """Every call in the tree, by the name (or attribute) it calls."""
+    calls: dict[str, list[ast.Call]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+            if name is not None:
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _defaulted(function: ast.FunctionDef, method: bool) -> list[tuple[str, int | None]]:
+    """The parameters of a function that have defaults, each with its index
+    among the positional arguments of a call (None for keyword-only)."""
+    args = function.args
+    positional = [*args.posonlyargs, *args.args]
+    static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in function.decorator_list)
+    # a call of a method or a class method does not pass its first argument
+    skip = 1 if method and not static else 0
+    first = len(positional) - len(args.defaults)
+    out: list[tuple[str, int | None]] = [(a.arg, i - skip) for i, a in enumerate(positional) if i >= first]
+    out += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return out
+
+
+def _passes(call: ast.Call, parameter: str, index: int | None) -> bool:
+    if any(k.arg in (parameter, None) for k in call.keywords):
+        return True
+    if index is None:
+        return False
+    return any(isinstance(a, ast.Starred) for a in call.args) or len(call.args) > index
+
+
+def unpassed_parameters(modules: dict[str, str], callers: dict[str, str]) -> list[str]:
+    """The parameters with defaults of the definitions of ``modules`` that no
+    call in ``modules`` or ``callers`` passes, as module.name(parameter) or
+    module.Class.method(parameter)."""
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in [*trees.values(), *(ast.parse(source) for source in callers.values())]:
+        for name, nodes in _calls(tree).items():
+            calls.setdefault(name, []).extend(nodes)
+    out = []
+    for module, tree in trees.items():
+        functions = [(d.name, d.name, d, False) for d in tree.body if isinstance(d, _DEFS)]
+        functions += [
+            (f"{c.name}.{d.name}", c.name if d.name == "__init__" else d.name, d, True)
+            for c in tree.body
+            if isinstance(c, ast.ClassDef)
+            for d in c.body
+            if isinstance(d, _DEFS)
+        ]
+        for qualname, called_as, function, method in functions:
+            own = {id(node) for node in ast.walk(function)}
+            outside = [call for call in calls.get(called_as, ()) if id(call) not in own]
+            for parameter, index in _defaulted(function, method):
+                if not any(_passes(call, parameter, index) for call in outside):
+                    out.append(f"{module}.{qualname}({parameter})")
+    return out
+
+
 def _sources(paths) -> dict[str, str]:
     return {path.stem: path.read_text(encoding="utf-8") for path in sorted(paths)}
 
 
-def test_every_library_definition_has_a_non_test_caller():
-    uncalled = uncalled_definitions(
-        _sources((ROOT / "src" / "nmfib").glob("*.py")), _sources((ROOT / "perfbench").glob("*.py"))
-    )
-    # entries are module.name or module.Class.method; ALLOWED holds what follows the module
-    assert [entry for entry in uncalled if entry.split(".", 1)[1] not in ALLOWED] == []
-    stale = set(ALLOWED) - {entry.split(".", 1)[1] for entry in uncalled}
+def _library() -> tuple[dict[str, str], dict[str, str]]:
+    return _sources((ROOT / "src" / "nmfib").glob("*.py")), _sources((ROOT / "perfbench").glob("*.py"))
+
+
+def _check_allowed(found: list[str], parameters: bool) -> None:
+    # entries start with the module; ALLOWED holds what follows it
+    assert [entry for entry in found if entry.split(".", 1)[1] not in ALLOWED] == []
+    allowed = {name for name in ALLOWED if ("(" in name) == parameters}
+    stale = allowed - {entry.split(".", 1)[1] for entry in found}
     assert not stale, f"allowlisted names that now have a caller: {sorted(stale)}"
+
+
+def test_every_library_definition_has_a_non_test_caller():
+    _check_allowed(uncalled_definitions(*_library()), parameters=False)
+
+
+def test_every_defaulted_parameter_is_passed_by_a_non_test_caller():
+    _check_allowed(unpassed_parameters(*_library()), parameters=True)
 
 
 def test_a_local_of_the_same_name_is_not_a_caller():
@@ -141,3 +224,25 @@ def other(depth):
     # size is read in a nested function that binds no size; depth is read by
     # the caller module, outside every function that binds it
     assert uncalled_definitions({"lib": lib}, {"bench": "print(depth(0), other(1))"}) == []
+
+
+def test_a_parameter_is_passed_by_position_keyword_or_unpacking():
+    lib = """
+def f(a, b=1, c=2, *, d=3):
+    return f(a, b, c, d=d)
+
+class Box:
+    def __init__(self, size=0):
+        self.size = size
+
+    def grow(self, by=1, twice=False):
+        return by
+
+    @staticmethod
+    def make(size=0):
+        return Box()
+"""
+    # b is reached by position, grow's parameters by unpacking and make's
+    # by keyword unpacking; c and d are passed only by f's own call
+    bench = "f(0, 1)\nBox().grow(*xs)\nBox.make(**kw)"
+    assert unpassed_parameters({"lib": lib}, {"bench": bench}) == ["lib.f(c)", "lib.f(d)", "lib.Box.__init__(size)"]

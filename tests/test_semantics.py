@@ -231,14 +231,15 @@ def test_filter_valuations_by_rules():
     pair = builtin_calculus("neg_pair")
     unfiltered = entails(m5, [np_], sp)
     assert isinstance(unfiltered, Fails)
-    filtered = filter_valuations_by_rules(m5, pair.rules, [np_], sp, saturated=True)
+    filtered = filter_valuations_by_rules(m5, pair.rules, [np_], sp)
     assert bool(filtered) and filtered.exactness == "exact"
     # no rules: same verdict as plain entailment
     same = filter_valuations_by_rules(m5, [], [np_], sp)
     assert bool(same) == bool(unfiltered)
-    # non-axiom rules without a saturation promise are tagged heuristic
-    tagged = filter_valuations_by_rules(m5, pair.rules, [np_], sp)
-    assert tagged.exactness == "heuristic"
+    # non-axiom rules on a matrix not marked saturated are tagged heuristic
+    unmarked = Nmatrix(sig, m5.values, m5.designated, m5.full_interp())
+    tagged = filter_valuations_by_rules(unmarked, pair.rules, [np_], sp)
+    assert bool(tagged) and tagged.exactness == "heuristic"
 
 
 def test_bounded_saturation_examples():
