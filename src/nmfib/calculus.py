@@ -16,7 +16,7 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from . import bundled
 from .syntax import (
@@ -31,7 +31,7 @@ from .syntax import (
     check_well_formed,
     depth,
     fresh_var,
-    interned_instance,
+    instance_lookup,
     parse,
     subformula_closure,
     text,
@@ -202,22 +202,48 @@ class NotFoundAtBound:
         return False
 
 
-def _match(pattern: Formula, target: Formula, sigma: dict[str, Formula]) -> Optional[dict[str, Formula]]:
-    if isinstance(pattern, Var):
-        bound = sigma.get(pattern.name)
-        if bound is None:
-            out = dict(sigma)
-            out[pattern.name] = target
-            return out
-        return sigma if bound is target else None
-    if isinstance(target, Var) or pattern.head != target.head or len(pattern.args) != len(target.args):
-        return None
-    for pa, ta in zip(pattern.args, target.args):
-        nxt = _match(pa, ta, sigma)
-        if nxt is None:
-            return None
-        sigma = nxt
-    return sigma
+@functools.cache
+def _matcher(pattern: Formula) -> Callable[[Formula, dict[str, Formula]], Optional[dict[str, Formula]]]:
+    """The match of a schema against formulas, compiled once per schema.
+
+    matcher(target, sigma) is None when no extension of sigma instantiates
+    the pattern to the target, else sigma itself if that binds nothing new,
+    else one copy of sigma with the new bindings in the order the pattern
+    first shows them.  The generated code checks class, head and arity at
+    each node, and compares a repeated variable with its first occurrence,
+    and a bound one with sigma, by identity.  Its locals are numbered (t0
+    is the target); names enter it only by repr."""
+    lines = []
+    first: dict[str, int] = {}  # each variable, with the local of its first occurrence
+    stack = [(pattern, 0)]
+    count = 1
+    while stack:
+        phi, n = stack.pop()
+        if isinstance(phi, Var):
+            if phi.name in first:
+                lines.append(f"if t{n} is not t{first[phi.name]}: return None")
+            else:
+                first[phi.name] = n
+            continue
+        k = len(phi.args)
+        lines.append(f"if type(t{n}) is not App or t{n}.head != {phi.head!r} or len(t{n}.args) != {k}: return None")
+        if k:
+            parts = range(count, count + k)
+            lines.append("".join(f"t{m}, " for m in parts) + f"= t{n}.args")
+            stack.extend(zip(reversed(phi.args), reversed(parts)))
+            count += k
+    binds = [(repr(name), f"t{n}", f"b{i}") for i, (name, n) in enumerate(first.items())]
+    if binds:
+        lines.append("if not sigma: return {" + ", ".join(f"{name}: {t}" for name, t, _ in binds) + "}")
+        for name, t, b in binds:
+            lines += [f"{b} = sigma.get({name})", f"if {b} is not None and {b} is not {t}: return None"]
+        lines.append("if " + " and ".join(f"{b} is not None" for _, _, b in binds) + ": return sigma")
+        lines.append("sigma = dict(sigma)")
+        lines += [f"if {b} is None: sigma[{name}] = {t}" for name, t, b in binds]
+    lines.append("return sigma")
+    scope = {"App": App}
+    exec("def match(t0, sigma):\n" + "".join(f"    {line}\n" for line in lines), scope)
+    return scope["match"]  # type: ignore[return-value]
 
 
 def _universe(calc: HilbertCalculus, base: Sequence[Formula], depth_bound: int, cap: int) -> dict[Formula, None]:
@@ -358,10 +384,11 @@ def derive(
       a step below the mark starts a new match only if a second-premise
       step from the mark on binds the variable to it; only those are
       visited there, in step order, as the scan would reach them.
-    * Lookup-only instantiation.  A conclusion instance is looked up with
-      interned_instance, not built: the universe is interned, so an
-      instance never built before lies outside it, and rejected candidates
-      are never added to the intern pool.
+    * Compiled schemas.  Each schema is matched by code compiled for it on
+      first use (_matcher), and its instances are looked up, never built
+      (syntax.instance_lookup): the universe is interned, so an instance
+      never built before lies outside it, and rejected candidates never
+      enter the intern pool.
 
     Premises and goal may mention connectives the calculus does not govern;
     such subformulas are opaque monoliths the rules can carry around but
@@ -382,7 +409,7 @@ def derive(
                 universe_read_by_arg.setdefault(rule.conclusion.head, set()).add(pos)
 
     universe_by_arg: dict[tuple[str, int, Formula], list[Formula]] = {}
-    for u in universe:
+    for u in universe if universe_read_by_arg else ():
         if isinstance(u, App):
             for pos in universe_read_by_arg.get(u.head, ()):
                 if pos < len(u.args):
@@ -422,30 +449,35 @@ def derive(
         # a variable first premise that is an argument of the second is led by it
         led = last == 1 and via is None and isinstance(prems[0], Var) and isinstance(prems[1], App)
         led = led and prems[0] in prems[1].args
+        # the compiled schemas, fetched once per firing
+        concl = rule.conclusion
+        concl_pos = key if leftover else via  # the conclusion argument that keys the universe lookup
+        concl_match = _matcher(concl)
+        concl_instance = instance_lookup(concl if concl_pos is None else concl.args[concl_pos])
+        last_instance = instance_lookup(prems[last]) if via is not None else None
+        matchers = [_matcher(pattern) for pattern in prems]
+        arg_instances = [instance_lookup(p.args[j]) if j is not None else None for p, j in zip(prems, scans)]
 
         def conclude(sigma: dict[str, Formula], used: tuple[int, ...], fresh: bool) -> Iterator:
-            pattern = rule.conclusion
             if not leftover and via is None:
-                concl = interned_instance(sigma, pattern)
-                if concl in universe:
-                    yield concl, sigma, used
+                instance = concl_instance(sigma)
+                if instance in universe:
+                    yield instance, sigma, used
                 return
-            pos = key if leftover else via
-            if pos is None:
+            if concl_pos is None:
                 candidates: Iterable[Formula] = universe
             else:
-                arg = interned_instance(sigma, pattern.args[pos])
-                candidates = universe_by_arg.get((pattern.head, pos, arg), ())  # type: ignore[arg-type]
+                candidates = universe_by_arg.get((concl.head, concl_pos, concl_instance(sigma)), ())  # type: ignore[arg-type]
             low, end = (0 if fresh else mark), len(steps)
             found = []
             for u in candidates:
-                filled = _match(pattern, u, sigma)
+                filled = concl_match(u, sigma)
                 if filled is None:
                     continue
                 if leftover:
                     found.append(((depth(u, depths), text(u)), u, filled, used))
                     continue
-                k = index.get(interned_instance(filled, prems[last]))
+                k = index.get(last_instance(filled))  # type: ignore[misc]
                 if k is not None and low <= k < end:
                     found.append((k, u, filled, used + (k,)))
             found.sort(key=itemgetter(0))
@@ -463,25 +495,26 @@ def derive(
             elif pos is None:
                 entries = by_head.get(pattern.head, ())
             else:
-                arg = interned_instance(sigma, pattern.args[pos])
-                entries = by_arg.get((pattern.head, pos, arg), ())  # type: ignore[arg-type]
+                entries = by_arg.get((pattern.head, pos, arg_instances[i](sigma)), ())  # type: ignore[arg-type,misc]
             end = len(entries)
             start = 0 if fresh or i < last else bisect_left(entries, mark, 0, end)
+            match = matchers[i]
             for j in range(start, end):
                 k = entries[j]
-                nxt = _match(pattern, formulas[k], sigma)
+                nxt = match(formulas[k], sigma)
                 if nxt is not None:
                     yield from match_from(i + 1, nxt, used + (k,), fresh or k >= mark)
 
         def led_by_second() -> Iterator:
             name, second = prems[0].name, prems[1]
+            match = matchers[1]
             entries = by_head.setdefault(second.head, [])
             seen = bisect_left(entries, mark)
             todo = list(range(mark, len(steps)))  # a heap of the first-premise steps to visit
             k = -1
             while True:
                 for n in entries[seen:]:
-                    sigma = _match(second, formulas[n], {})
+                    sigma = match(formulas[n], {})
                     j = None if sigma is None else index.get(sigma[name])
                     if j is not None and k < j < mark:
                         heapq.heappush(todo, j)

@@ -62,7 +62,7 @@ def power(matrix: Nmatrix, n: int, cap: Optional[int] = None) -> Nmatrix:
     computed from the matrix's cells on its first read, then kept.
     """
     if n < 1:
-        raise MatrixError("power needs n >= 1")
+        raise MatrixError(f"n (-n) must be at least 1 (got {n})")
     limit = size_cap(cap)
     if n == 1:
         return matrix

@@ -14,9 +14,10 @@ and hash by identity.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 __all__ = [
     "SignatureError",
@@ -27,7 +28,7 @@ __all__ = [
     "Formula",
     "var",
     "app",
-    "interned_instance",
+    "instance_lookup",
     "text",
     "depth",
     "subformulas",
@@ -153,6 +154,35 @@ def app(head: str, args: Sequence[Formula] = ()) -> App:
         a = App(head, tuple(args))
         _pool[key] = a
     return a  # type: ignore[return-value]
+
+
+@functools.cache
+def instance_lookup(phi: Formula) -> Callable[[Mapping[str, Formula]], Optional[Formula]]:
+    """The function taking sigma to apply_substitution(sigma, phi) if that
+    formula already exists, else to None; compiled once per schema phi.
+
+    A lookup only: it never interns, so a search can test candidate
+    instances against a set of interned formulas without keeping every
+    rejected candidate alive.  The generated code makes one pool lookup per
+    node of phi, children first, with no test between them: a key holding
+    None is no key of the pool, so a missing argument makes every lookup
+    above it miss.  Its locals are numbered; names enter it only by repr."""
+    scope: dict[str, object] = {"pool": _pool}
+    lines = []  # each node's line, parents before children
+    stack = [(phi, 0)]
+    count = 1
+    while stack:
+        psi, n = stack.pop()
+        if isinstance(psi, Var):
+            scope[f"v{n}"] = psi
+            lines.append(f"t{n} = sigma.get({psi.name!r}, v{n})")
+            continue
+        parts = range(count, count + len(psi.args))
+        count += len(psi.args)
+        lines.append(f"t{n} = pool.get(({psi.head!r}, ({''.join(f't{m}, ' for m in parts)})))")
+        stack.extend(zip(psi.args, parts))
+    exec("def instance(sigma):\n" + "".join(f"    {line}\n" for line in [*reversed(lines), "return t0"]), scope)
+    return scope["instance"]  # type: ignore[return-value]
 
 
 def text(phi: Formula) -> str:
@@ -359,24 +389,6 @@ def apply_substitution(sigma: Substitution, phi: Formula) -> Formula:
     if isinstance(phi, Var):
         return sigma.get(phi.name, phi)
     return app(phi.head, tuple(apply_substitution(sigma, a) for a in phi.args))
-
-
-def interned_instance(sigma: Substitution, phi: Formula) -> Optional[Formula]:
-    """apply_substitution(sigma, phi) if that formula already exists, else None.
-
-    A lookup only: it never adds to the intern pool, so a search can test
-    candidate instances against a set of interned formulas without keeping
-    every rejected candidate alive.  None means no formula with that
-    structure has been built, so it lies in no set of formulas."""
-    if isinstance(phi, Var):
-        return sigma.get(phi.name, phi)
-    args = []
-    for a in phi.args:
-        b = interned_instance(sigma, a)
-        if b is None:
-            return None
-        args.append(b)
-    return _pool.get((phi.head, tuple(args)))  # type: ignore[return-value]
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,7 @@ match bit for bit, verdicts must match the expected catalog outcome, and
 every countermodel or derivation must re-verify independently.
 """
 
-import itertools
 import random
-
-import pytest
 
 from nmfib.boolfun import (
     BooleanFunction,
@@ -25,7 +22,6 @@ from nmfib.calculus import builtin_calculus, derive, merge, renamed, verify
 from nmfib.fibring import (
     CATALOG_IDS,
     Classical,
-    Sequent,
     Subclassical,
     _random_sequent,
     catalog_fragments,

@@ -1,4 +1,3 @@
-import itertools
 import math
 import random
 
@@ -10,7 +9,6 @@ from nmfib.boolfun import (
     FragmentSpec,
     classify,
     clone_closure_at_arity,
-    clone_expressions,
     find_expression,
     function_of_formula,
     functionally_complete,

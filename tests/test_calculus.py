@@ -9,7 +9,6 @@ from nmfib.calculus import (
     Derived,
     NotFoundAtBound,
     Premise,
-    Rule,
     RuleApp,
     Step,
     _join_plan,
@@ -22,7 +21,7 @@ from nmfib.calculus import (
     verify,
 )
 from nmfib.semantics import entails, two_valued_matrix
-from nmfib.syntax import SignatureError, app, apply_substitution, parse, text, var
+from nmfib.syntax import SignatureError, app, parse, text, var
 
 
 def rule_bodies(calc):

@@ -166,6 +166,12 @@ def test_power_below_one_is_named(capsys, argv, power):
     assert (code, out, err) == (1, "", f"error: power (--power) must be at least 1 (got {power})\n")
 
 
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_power_n_below_one_is_named(capsys, n):
+    code, out, err = run(capsys, "power", "two_valued_or.json", "-n", n)
+    assert (code, out, err) == (1, "", f"error: n (-n) must be at least 1 (got {n})\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

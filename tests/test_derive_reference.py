@@ -11,15 +11,21 @@ The reference builds its own instantiation universe, sorted whole in
 (depth, text) order as derive's universe once was, so a change to the order
 in which derive's universe lists its members cannot pass through both
 engines unseen.
+
+The compiled kernels derive runs on, calculus._matcher and
+syntax.instance_lookup, are checked here too: against _reference_match and
+_reference_instance, the recursive functions they replaced.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from typing import Iterable, Iterator, Optional, Union
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from nmfib import syntax
 from nmfib.boolfun import BooleanFunction, FragmentSpec, standard_function
@@ -32,10 +38,12 @@ from nmfib.calculus import (
     Rule,
     RuleApp,
     Step,
+    _matcher,
     _trim,
     _universe,
     builtin_calculus,
     derive,
+    load_calculus,
     merge,
     renamed,
     verify,
@@ -49,6 +57,7 @@ from nmfib.syntax import (
     canon_sort,
     depth,
     fresh_var,
+    instance_lookup,
     parse,
     subformula_closure,
     text,
@@ -73,6 +82,19 @@ def _reference_match(pattern: Formula, target: Formula, sigma: dict[str, Formula
             return None
         sigma = nxt
     return sigma
+
+
+def _reference_instance(sigma: dict[str, Formula], phi: Formula) -> Optional[Formula]:
+    """apply_substitution(sigma, phi) if that formula already exists, else None."""
+    if isinstance(phi, Var):
+        return sigma.get(phi.name, phi)
+    args = []
+    for a in phi.args:
+        b = _reference_instance(sigma, a)
+        if b is None:
+            return None
+        args.append(b)
+    return syntax._pool.get((phi.head, tuple(args)))  # type: ignore[return-value]
 
 
 def _reference_universe(calc: HilbertCalculus, base: list[Formula], depth_bound: int, cap: int) -> list[Formula]:
@@ -385,3 +407,111 @@ def test_universe_builds_no_text_for_its_last_round():
     built = [u for u in universe if u not in existing]
     assert len(universe) == 10001 and not combined & set(built) and len(built) > 9000
     assert all(u._key is None for u in built)
+
+
+# ---------------------------------------------------------------------------
+# The compiled kernels against the recursive functions they replaced
+# ---------------------------------------------------------------------------
+
+@functools.cache
+def _kernel_inputs() -> tuple[list[Formula], list[Formula]]:
+    """Every premise and conclusion schema of the bundled calculi, and as
+    targets the members of each one's depth-2 universe over p, q and a
+    formula that uses one of its heads at another arity (such as neg(p,p)
+    or or(p,p,p)); the universes of calculi with 0-place connectives hold
+    those constants."""
+    schemas = set()
+    targets = set()
+    for cid in BUILTIN_IDS:
+        calc = builtin_calculus(cid)
+        schemas.update(phi for rule in calc.rules for phi in (*rule.premises, rule.conclusion))
+        name, arity = max(calc.signature.connectives, key=lambda c: c[1])
+        odd = app(name, (var("p"),) * (arity + 1))
+        targets.update(_reference_universe(calc, [var("p"), var("q"), odd], 2, cap=400))
+    return canon_sort(schemas), canon_sort(targets)
+
+
+def _assert_kernels_agree(schema: Formula, target: Formula, sigma: dict[str, Formula]) -> None:
+    label = (text(schema), text(target), {n: text(f) for n, f in sigma.items()})
+    got = _matcher(schema)(target, sigma)
+    want = _reference_match(schema, target, sigma)
+    # the same bindings in the same order, and sigma itself when nothing is new
+    assert (got is None, got is sigma) == (want is None, want is sigma), label
+    assert (got and list(got.items())) == (want and list(want.items())), label
+    pool = len(syntax._pool)
+    assert instance_lookup(schema)(sigma) is _reference_instance(sigma, schema), label
+    assert len(syntax._pool) == pool, label
+
+
+def test_compiled_kernels_agree_with_reference_on_every_bundled_schema():
+    schemas, targets = _kernel_inputs()
+    hits = 0
+    for schema in schemas:
+        names = [v.name for v in variables(schema)]
+        # the instance that binds every variable to the same target, then
+        # every target, with no binding, the first variable bound and all bound
+        instance = apply_substitution(dict.fromkeys(names, targets[-1]), schema)
+        for target in [instance, *targets]:
+            for sigma in ({}, dict.fromkeys(names[:1], targets[-1]), dict.fromkeys(names, targets[-1])):
+                _assert_kernels_agree(schema, target, sigma)
+            hits += _matcher(schema)(target, {}) is not None
+    assert len(schemas) > 40 and hits > len(schemas)
+
+
+@st.composite
+def _kernel_cases(draw):
+    schemas, targets = _kernel_inputs()
+    schema = draw(st.sampled_from(schemas))
+    names = [v.name for v in variables(schema)]
+    pick = st.sampled_from(targets)
+    fill = {name: draw(pick) for name in names}
+    target = apply_substitution(fill, schema) if draw(st.booleans()) else draw(pick)
+    # partly pre-bound: each bound name takes the instance's binding or any
+    # target, and w is a name no schema uses
+    bound = draw(st.lists(st.sampled_from([*names, "w"]), unique=True))
+    sigma = {name: fill[name] if name in fill and draw(st.booleans()) else draw(pick) for name in bound}
+    return schema, target, sigma
+
+
+@seed(20)
+@settings(derandomize=True, database=None, max_examples=800, deadline=None)
+@given(_kernel_cases())
+def test_compiled_kernels_agree_with_reference_on_pre_bound_substitutions(case):
+    _assert_kernels_agree(*case)
+
+
+def test_generated_code_keeps_formula_names_out_of_its_identifiers():
+    # _IDENT accepts each of these schematic variable names; code that used
+    # them as Python identifiers would clash with its own locals and
+    # parameters or fail to compile; x'y is a variable only the library API
+    # builds
+    data = {
+        "signature": [{"name": "and", "arity": 2}, {"name": "imp", "arity": 2}],
+        "rules": [
+            {"name": "c1", "premises": ["and(sigma,t0)"], "conclusion": "sigma"},
+            {"name": "c2", "premises": ["and(sigma,t0)"], "conclusion": "t0"},
+            {"name": "c3", "premises": ["return", "None"], "conclusion": "and(return,None)"},
+            {"name": "mp", "premises": ["get", "imp(get,b0)"], "conclusion": "b0"},
+            {"name": "k", "conclusion": "imp(get,imp(None,get))"},
+        ],
+    }
+    loaded = load_calculus(data)
+    quoted = {"sigma": var("x'y"), "t0": var("t0")}
+    calc = HilbertCalculus.of(
+        loaded.signature,
+        [*loaded.rules, Rule.of("c1q", [apply_substitution(quoted, loaded.rules[0].premises[0])], var("x'y"))],
+    )
+    sig = calc.signature
+    for prems, goal, depth in [
+        (["and(a,b)", "imp(b,c)"], "and(c,a)", 2),
+        (["and(a,imp(a,b))"], "and(b,b)", 2),
+        (["a"], "imp(b,a)", 2),
+        (["imp(a,b)", "imp(b,c)", "a"], "and(c,b)", 1),
+        (["and(a,b)"], "imp(c,c)", 1),
+    ]:
+        _assert_same(calc, [parse(t, sig) for t in prems], parse(goal, sig), depth=depth)
+    a, b = var("a"), var("b")
+    for schema in (app("and", (var("x'y"), var("x'y"))), app("imp", (var("return"), var("sigma")))):
+        for target in (app("and", (a, a)), app("and", (a, b)), app("imp", (a, b)), a):
+            for sigma in ({}, {"x'y": a, "sigma": b}, {"return": b}):
+                _assert_kernels_agree(schema, target, sigma)

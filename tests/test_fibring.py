@@ -22,7 +22,6 @@ from nmfib.fibring import (
     Classical,
     FcOutcome,
     No,
-    Sequent,
     Subclassical,
     Unknown,
     WitnessNotFound,
@@ -44,7 +43,7 @@ from nmfib.fibring import (
 from nmfib.matrixops import matrices_equal, strict_product
 from nmfib.semantics import Fails, MatrixError, entails, load_system, two_valued_matrix
 from nmfib.boolfun import load_fragment
-from nmfib.syntax import Signature, parse, text
+from nmfib.syntax import parse, text
 from test_clone_reference import reference_closure
 
 SYSTEMS = Path(__file__).resolve().parents[1] / "src" / "nmfib" / "systems"

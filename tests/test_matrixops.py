@@ -22,12 +22,10 @@ from nmfib.matrixops import (
     translate_matrix,
 )
 from nmfib.semantics import (
-    Fails,
     Holds,
     MatrixError,
     Nmatrix,
     entails,
-    enumerate_partial_valuations,
     two_valued_matrix,
 )
 from nmfib.syntax import (
