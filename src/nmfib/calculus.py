@@ -246,25 +246,105 @@ def _matcher(pattern: Formula) -> Callable[[Formula, dict[str, Formula]], Option
     return scope["match"]  # type: ignore[return-value]
 
 
-def _universe(calc: HilbertCalculus, base: Sequence[Formula], depth_bound: int, cap: int) -> dict[Formula, None]:
+def _universe(calc: HilbertCalculus, base: Sequence[Formula], depth_bound: int, cap: int) -> dict[Formula, int]:
     """Instantiation pool: subformulas of the sequent plus a distinguished
     fresh variable, closed up to the depth bound under the calculus
-    connectives, as the keys of a dict, in the order generated.  Each round
+    connectives, as the keys of a dict, in the order generated, each with
+    its level (the round that first made it, 0 for the base).  Each round
     combines the members so far in (depth, text) order, and the cap
     truncates breadth-first, deepest candidates dropped first, so enlarging
     the bounds only appends; the last round's members are never sorted."""
-    members = dict.fromkeys([*subformula_closure(base), fresh_var(base)])
+    closure = subformula_closure(base)
+    members = dict.fromkeys([*closure, fresh_var(u for u in closure if type(u) is Var)], 0)
     depths: dict[Formula, int] = {}
-    for _ in range(depth_bound):
+    for level in range(1, depth_bound + 1):
         if len(members) > cap:
             break
         grown = sorted(members, key=lambda f: (depth(f, depths), text(f)))
         for conn, arity in calc.signature.connectives:
             for args in itertools.product(grown, repeat=arity):
-                members[app(conn, args)] = None
-                if len(members) > cap:
-                    return members
+                u = app(conn, args)
+                if u not in members:
+                    members[u] = level
+                    if len(members) > cap:
+                        return members
     return members
+
+
+@functools.cache
+def _member(phi: Formula) -> Callable[[Mapping[str, Formula], Mapping[Formula, int], int], Optional[Formula]]:
+    """The level test of a schema's instances, compiled once per schema.
+
+    member(sigma, levels, top) is the instance of phi under sigma if it is
+    a member of the _Universe with those levels and top, else None; sigma
+    binds every variable of phi to a member.  A variable's instance always
+    is one.  With top -1 the instance is looked up in levels; else it is a
+    member when its arguments are in levels, and is built only then."""
+    if isinstance(phi, Var):
+        return lambda sigma, levels, top: sigma[phi.name]
+    scope = {"app": app, "lookup": instance_lookup(phi)}
+    lines = ["if top < 0: return t if (t := lookup(sigma)) in levels else None"]
+    for i, a in enumerate(phi.args):
+        scope[f"a{i}"] = instance_lookup(a)
+        lines += [f"t{i} = a{i}(sigma)", f"if t{i} not in levels: return None"]
+    lines.append(f"return app({phi.head!r}, ({''.join(f't{i}, ' for i in range(len(phi.args)))}))")
+    exec("def member(sigma, levels, top):\n" + "".join(f"    {line}\n" for line in lines), scope)
+    return scope["member"]  # type: ignore[return-value]
+
+
+class _Universe:
+    """The instantiation universe of one derive call, served by level.
+
+    A formula's level is 0 in the base (the subformulas of the sequent and
+    the fresh variable), else one more than the largest level of its
+    arguments when its head is a calculus connective of that arity; the
+    members are the formulas of level at most the depth bound.  Only the
+    rounds below the bound are built (levels: member -> level), and the
+    size of the last one is counted: the products of the members so far,
+    less those already members.  A formula of a schema's shape outside the
+    built rounds is then a member exactly when its arguments are in them.
+    If the count passes the cap, the cap decides which members exist: the
+    universe is built whole, as _universe builds it, membership is looked
+    up, and top is -1."""
+
+    def __init__(self, calc: HilbertCalculus, base: Sequence[Formula], depth_bound: int, cap: int):
+        self.build = functools.partial(_universe, calc, base, depth_bound, cap)
+        levels = _universe(calc, base, depth_bound - 1, cap)
+        n, arity = len(levels), calc.signature.arity
+        size = n + sum(n**k for _, k in calc.signature.connectives)
+        size -= sum(type(u) is App and arity(u.head) == len(u.args) for u in levels)
+        self.top = depth_bound if depth_bound and size <= cap else -1
+        self.levels = levels if self.top >= 0 else self.build()
+        self.upto: dict[int, list[Formula]] = {}
+
+    def members(self, bound: int) -> list[Formula]:
+        """The members of level at most bound, the whole universe built on
+        first need."""
+        if bound not in self.upto:
+            levels = self.levels
+            self.upto[bound] = list(self.build()) if bound == self.top else [u for u in levels if levels[u] <= bound]
+        return self.upto[bound]
+
+    def extensions(self, phi: Formula, sigma: dict[str, Formula], bound: int) -> list[dict[str, Formula]]:
+        """Every extension of sigma under which phi is a member of level at
+        most bound, built schema first: an argument of a compound sits one
+        level lower, a free variable ranges over the members of its level,
+        and at level 0 the schema is matched against the base."""
+        if type(phi) is Var:
+            t = sigma.get(phi.name)
+            if t is None:
+                return [{**sigma, phi.name: u} for u in self.members(bound)]
+            return [sigma] if self.levels.get(t, self.top) <= bound else []
+        if not bound:
+            match = _matcher(phi)
+            return [s for u in self.members(0) if (s := match(u, sigma)) is not None]
+        out = [sigma]
+        for a in phi.args:
+            out = [s2 for s in out for s2 in self.extensions(a, s, bound - 1)]
+        if self.top < 0:  # the cap decided the members: look each instance up
+            lookup = instance_lookup(phi)
+            out = [s for s in out if lookup(s) in self.levels]
+        return out
 
 
 def _names(phi: Formula) -> set[str]:
@@ -272,21 +352,11 @@ def _names(phi: Formula) -> set[str]:
 
 
 @functools.cache
-def _rule_plan(rule: Rule) -> tuple[bool, Optional[int]]:
-    """How a rule's conclusion gets its instances once the premises match.
-
-    The first value says whether the conclusion has schematic variables no
-    premise binds; the second is then the first conclusion argument whose
-    variables the premises all bind (None if there is none), which keys the
-    universe lookup for the candidates."""
+def _rule_plan(rule: Rule) -> bool:
+    """Whether a rule's conclusion has schematic variables no premise binds;
+    their instances are then taken from the universe."""
     bound = {v.name for phi in rule.premises for v in variables(phi)}
-    concl = rule.conclusion
-    if _names(concl) <= bound:
-        return False, None
-    if isinstance(concl, Var):
-        return True, None
-    key = next((i for i, a in enumerate(concl.args) if _names(a) <= bound), None)
-    return True, key
+    return not _names(rule.conclusion) <= bound
 
 
 @functools.cache
@@ -310,7 +380,7 @@ def _join_plan(rule: Rule) -> tuple[tuple[Optional[int], ...], Optional[int]]:
         before.append(before[-1] | _names(pattern))
     concl = rule.conclusion
     via = None
-    if len(prems) >= 2 and isinstance(concl, App) and not _rule_plan(rule)[0]:
+    if len(prems) >= 2 and isinstance(concl, App) and not _rule_plan(rule):
         bound = before[-2]
         if _names(prems[-1]) <= bound | _names(concl):
             via = next((j for j, a in enumerate(concl.args) if _names(a) <= bound), None)
@@ -364,15 +434,15 @@ def derive(
       scan stops at the length its list had when the scan began, as the
       full scan stopped at the step count it began with; so the matches
       found, and their order, are those of a full scan.
-    * Order only where it shows.  The universe lists its members as
-      generated.  Free conclusion variables read the same kind of index
-      over it, on the first conclusion argument the premises bind (kept
-      only for the positions some conclusion reads), and only the
-      candidates that match are put in (depth, text) order.
+    * Membership by level (_Universe).  The universe's last round is
+      counted, not built, unless the cap binds; a conclusion is a member
+      when its level is at most the depth bound.  Free conclusion variables
+      take the schema's member instances, enumerated schema first, and
+      only those are put in (depth, text) order.
     * Last premise through the conclusion.  When the earlier premises bind
       an argument of a fully bound conclusion (c3: p, q / and(p,q);
       ao1: or(p,q), or(p,r) / or(p,and(q,r))), the last premise is not
-      scanned: each universe member with that argument fixes the last
+      scanned: each member instance of the conclusion fixes the last
       premise's instance, which is looked up among the steps.  A hit counts
       only if the scan would have reached it (recorded before the scan
       began, and from the mark on unless an earlier premise is new), and
@@ -384,36 +454,26 @@ def derive(
       a step below the mark starts a new match only if a second-premise
       step from the mark on binds the variable to it; only those are
       visited there, in step order, as the scan would reach them.
-    * Compiled schemas.  Each schema is matched by code compiled for it on
-      first use (_matcher), and its instances are looked up, never built
-      (syntax.instance_lookup): the universe is interned, so an instance
-      never built before lies outside it, and rejected candidates never
-      enter the intern pool.
+    * Compiled schemas.  Each schema is matched (_matcher), looked up
+      (syntax.instance_lookup) and tested for membership (_member) by code
+      compiled for it on first use.  Only accepted conclusions are built,
+      so rejected candidates never enter the intern pool.
 
     Premises and goal may mention connectives the calculus does not govern;
     such subformulas are opaque monoliths the rules can carry around but
     never build.
     """
     premises = canon_sort(premises)
-    universe = _universe(calc, premises + [goal], universe_depth, cap=max(step_cap, 2000))
-    plans = [(rule, *_rule_plan(rule), *_join_plan(rule)) for rule in calc.rules]
-    # per head, the argument positions premises read steps by and conclusions read universe members by
+    depth_bound = max(universe_depth, 0)  # a negative depth bound, like 0, leaves the base alone
+    universe = _Universe(calc, premises + [goal], depth_bound, cap=max(step_cap, 2000))
+    levels, top = universe.levels, universe.top
+    plans = [(rule, _rule_plan(rule), *_join_plan(rule)) for rule in calc.rules]
+    # per head, the argument positions premises read steps by
     read_by_arg: dict[str, set[int]] = {}
-    universe_read_by_arg: dict[str, set[int]] = {}
-    for rule, leftover, key, scans, via in plans:
+    for rule, _, scans, _ in plans:
         for pattern, pos in zip(rule.premises, scans):
             if pos is not None:
                 read_by_arg.setdefault(pattern.head, set()).add(pos)
-        for pos in (key, via):
-            if pos is not None:
-                universe_read_by_arg.setdefault(rule.conclusion.head, set()).add(pos)
-
-    universe_by_arg: dict[tuple[str, int, Formula], list[Formula]] = {}
-    for u in universe if universe_read_by_arg else ():
-        if isinstance(u, App):
-            for pos in universe_read_by_arg.get(u.head, ()):
-                if pos < len(u.args):
-                    universe_by_arg.setdefault((u.head, pos, u.args[pos]), []).append(u)
     depths: dict[Formula, int] = {}  # for the (depth, text) order of free-variable candidates
 
     steps: list[Step] = []
@@ -443,7 +503,7 @@ def derive(
 
     def fire(plan: tuple, mark: int) -> Iterator:
         """(conclusion, substitution, premise steps) for each new match."""
-        rule, leftover, key, scans, via = plan
+        rule, leftover, scans, via = plan
         prems = rule.premises
         last = len(prems) - 1
         # a variable first premise that is an argument of the second is led by it
@@ -451,38 +511,30 @@ def derive(
         led = led and prems[0] in prems[1].args
         # the compiled schemas, fetched once per firing
         concl = rule.conclusion
-        concl_pos = key if leftover else via  # the conclusion argument that keys the universe lookup
-        concl_match = _matcher(concl)
-        concl_instance = instance_lookup(concl if concl_pos is None else concl.args[concl_pos])
+        member, build = _member(concl), instance_lookup(concl, True)
         last_instance = instance_lookup(prems[last]) if via is not None else None
         matchers = [_matcher(pattern) for pattern in prems]
         arg_instances = [instance_lookup(p.args[j]) if j is not None else None for p, j in zip(prems, scans)]
 
         def conclude(sigma: dict[str, Formula], used: tuple[int, ...], fresh: bool) -> Iterator:
             if not leftover and via is None:
-                instance = concl_instance(sigma)
-                if instance in universe:
+                instance = member(sigma, levels, top)
+                if instance is not None:
                     yield instance, sigma, used
                 return
-            if concl_pos is None:
-                candidates: Iterable[Formula] = universe
-            else:
-                candidates = universe_by_arg.get((concl.head, concl_pos, concl_instance(sigma)), ())  # type: ignore[arg-type]
             low, end = (0 if fresh else mark), len(steps)
             found = []
-            for u in candidates:
-                filled = concl_match(u, sigma)
-                if filled is None:
-                    continue
+            for filled in universe.extensions(concl, sigma, depth_bound):
                 if leftover:
+                    u = build(filled)
                     found.append(((depth(u, depths), text(u)), u, filled, used))
                     continue
                 k = index.get(last_instance(filled))  # type: ignore[misc]
                 if k is not None and low <= k < end:
-                    found.append((k, u, filled, used + (k,)))
+                    found.append((k, None, filled, used + (k,)))
             found.sort(key=itemgetter(0))
             for _, u, filled, steps_used in found:
-                yield u, filled, steps_used
+                yield u or build(filled), filled, steps_used
 
         def match_from(i: int, sigma: dict[str, Formula], used: tuple[int, ...], fresh: bool) -> Iterator:
             if i > last or (i == last and via is not None):
@@ -592,7 +644,7 @@ def audit(d: Derivation, calc: HilbertCalculus, premises: Iterable[Formula], goa
         sigma = dict(j.substitution)
         if len(j.premise_steps) != len(rule.premises):
             return i
-        if any(k >= i for k in j.premise_steps):
+        if any(not 0 <= k < i for k in j.premise_steps):
             return i
         for pat, k in zip(rule.premises, j.premise_steps):
             if apply_substitution(sigma, pat) != d.steps[k].formula:

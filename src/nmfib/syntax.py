@@ -157,17 +157,20 @@ def app(head: str, args: Sequence[Formula] = ()) -> App:
 
 
 @functools.cache
-def instance_lookup(phi: Formula) -> Callable[[Mapping[str, Formula]], Optional[Formula]]:
+def instance_lookup(phi: Formula, build: bool = False) -> Callable[[Mapping[str, Formula]], Optional[Formula]]:
     """The function taking sigma to apply_substitution(sigma, phi) if that
     formula already exists, else to None; compiled once per schema phi.
+    With build, it takes sigma to apply_substitution(sigma, phi) itself.
 
-    A lookup only: it never interns, so a search can test candidate
-    instances against a set of interned formulas without keeping every
-    rejected candidate alive.  The generated code makes one pool lookup per
+    Without build it never interns, so a search can look candidate
+    instances up without keeping every rejected one alive.  A formula that
+    does not exist yet may still be one the search would accept: derive
+    decides membership in its universe by level, and builds only the
+    instances it accepts.  The generated code makes one pool lookup per
     node of phi, children first, with no test between them: a key holding
     None is no key of the pool, so a missing argument makes every lookup
     above it miss.  Its locals are numbered; names enter it only by repr."""
-    scope: dict[str, object] = {"pool": _pool}
+    scope: dict[str, object] = {"pool": _pool, "app": app}
     lines = []  # each node's line, parents before children
     stack = [(phi, 0)]
     count = 1
@@ -179,7 +182,8 @@ def instance_lookup(phi: Formula) -> Callable[[Mapping[str, Formula]], Optional[
             continue
         parts = range(count, count + len(psi.args))
         count += len(psi.args)
-        lines.append(f"t{n} = pool.get(({psi.head!r}, ({''.join(f't{m}, ' for m in parts)})))")
+        node = f"{psi.head!r}, ({''.join(f't{m}, ' for m in parts)})"
+        lines.append(f"t{n} = app({node})" if build else f"t{n} = pool.get(({node}))")
         stack.extend(zip(psi.args, parts))
     exec("def instance(sigma):\n" + "".join(f"    {line}\n" for line in [*reversed(lines), "return t0"]), scope)
     return scope["instance"]  # type: ignore[return-value]
@@ -252,16 +256,7 @@ def canon_sort(phis: Iterable[Formula]) -> list[Formula]:
 
 def subformulas(phi: Formula) -> list[Formula]:
     """All subformulas of phi, including phi itself, in canonical order."""
-    out: set[Formula] = {phi}
-    stack = [phi]
-    while stack:
-        psi = stack.pop()
-        if isinstance(psi, App):
-            for a in psi.args:
-                if a not in out:
-                    out.add(a)
-                    stack.append(a)
-    return canon_sort(out)
+    return subformula_closure([phi])
 
 
 def variables(phi: Formula) -> list[Var]:
@@ -269,9 +264,15 @@ def variables(phi: Formula) -> list[Var]:
 
 
 def subformula_closure(phis: Iterable[Formula]) -> list[Formula]:
+    """All subformulas of the given formulas, each walked once, sorted once."""
     out: set[Formula] = set()
-    for phi in phis:
-        out.update(subformulas(phi))
+    stack = list(phis)
+    while stack:
+        psi = stack.pop()
+        if psi not in out:
+            out.add(psi)
+            if isinstance(psi, App):
+                stack.extend(psi.args)
     return canon_sort(out)
 
 

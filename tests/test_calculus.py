@@ -185,6 +185,21 @@ def test_verify_rejects_tampering():
     assert not verify(Derivation(d.steps[:-1] + (bad_sub,)), c, prems, goal)
 
 
+def test_verify_rejects_a_circular_derivation():
+    # step 0 takes its premise from step -1, which Python reads as the last
+    # step: q by d2 from or(q,q), and or(q,q) by d1 from q
+    c = builtin_calculus("B_or")
+    sig = c.signature
+    q, goal = parse("q", sig), parse("or(q,q)", sig)
+    d = Derivation((
+        Step(q, RuleApp("d2", (("p", q),), (-1,))),
+        Step(goal, RuleApp("d1", (("p", q), ("q", q)), (0,))),
+    ))
+    assert audit(d, c, [], goal) == 0
+    assert not verify(d, c, [], goal)
+    assert isinstance(derive(c, [], goal, 1, 100), NotFoundAtBound)
+
+
 def test_fresh_variable_conclusion():
     # explosion instantiates its fresh conclusion variable from the universe
     c = merge(builtin_calculus("B_bot"), builtin_calculus("B_or"))

@@ -14,7 +14,10 @@ engines unseen.
 
 The compiled kernels derive runs on, calculus._matcher and
 syntax.instance_lookup, are checked here too: against _reference_match and
-_reference_instance, the recursive functions they replaced.
+_reference_instance, the recursive functions they replaced.  The universe
+derive serves by level (calculus._Universe and its compiled level test
+calculus._member) is checked against _universe, which builds it whole,
+and _universe against _reference_universe.
 """
 
 from __future__ import annotations
@@ -39,7 +42,9 @@ from nmfib.calculus import (
     RuleApp,
     Step,
     _matcher,
+    _member,
     _trim,
+    _Universe,
     _universe,
     builtin_calculus,
     derive,
@@ -306,6 +311,18 @@ def test_derive_agrees_with_reference_seeded_at_depth_2(cid):
         _assert_same(CALCULI[cid], prems, goal, depth=2)
 
 
+@pytest.mark.parametrize(
+    "cid, premises, goal",
+    [("B_imp", [], "imp(a,imp(b,a))"), ("B_or", ["a"], "or(a,b)"), ("B_neg", ["a", "neg(a)"], "b")],
+)
+def test_derive_agrees_with_reference_at_a_negative_depth(cid, premises, goal):
+    # a negative depth bound leaves the base alone, as depth 0 does; each
+    # goal is a base member that a free conclusion variable must reach
+    calc = CALCULI[cid]
+    sig = calc.signature
+    assert isinstance(_assert_same(calc, [parse(t, sig) for t in premises], parse(goal, sig), depth=-1), Derived)
+
+
 def test_derive_agrees_with_reference_outcomes_cover_both_verdicts():
     found = {Derived: 0, NotFoundAtBound: 0}
     for cid in ("B_and", "B_neg", "or+neg+or_neg"):
@@ -391,6 +408,23 @@ def test_derive_interns_no_rejected_conclusions():
     assert isinstance(res, NotFoundAtBound)
     universe = _universe(calc, canon_sort(prems) + [goal], 1, cap=10000)
     assert grown <= len(universe)
+
+
+def test_derive_builds_no_last_round_it_does_not_read():
+    # fresh variable names with B_imp at depth 2: building the universe
+    # whole would add its last round (1,564 formulas) to the intern pool;
+    # served by level, derive builds only the members its rules accept
+    calc = builtin_calculus("B_imp")
+    sig = calc.signature
+    prems = [parse("imp(lvl_a,lvl_b)", sig)]
+    goal = parse("imp(lvl_b,lvl_c)", sig)
+    base = canon_sort(prems) + [goal]
+    last_round = len(_universe(calc, base, 2, cap=10000)) - len(_universe(calc, base, 1, cap=10000))
+    before = len(syntax._pool)
+    res = derive(calc, prems, goal, universe_depth=2)
+    grown = len(syntax._pool) - before
+    assert isinstance(res, NotFoundAtBound)
+    assert last_round == 1564 and grown < last_round / 2
 
 
 def test_universe_builds_no_text_for_its_last_round():
@@ -515,3 +549,61 @@ def test_generated_code_keeps_formula_names_out_of_its_identifiers():
         for target in (app("and", (a, a)), app("and", (a, b)), app("imp", (a, b)), a):
             for sigma in ({}, {"x'y": a, "sigma": b}, {"return": b}):
                 _assert_kernels_agree(schema, target, sigma)
+
+
+# ---------------------------------------------------------------------------
+# The universe served by level against the universe built whole
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("cid", BUILTIN_IDS)
+def test_universe_by_level_agrees_with_the_built_universe(cid):
+    # for seeded sequents at depths 0-2, with caps that bind and caps that
+    # do not:
+    # the level test, the keyed lookups (a connective with one argument
+    # given) and the schema-first enumeration of every rule schema must
+    # give exactly the members _universe builds
+    calc = builtin_calculus(cid)
+    schemas = canon_sort(phi for rule in calc.rules for phi in (*rule.premises, rule.conclusion))
+    shapes = [app(c, tuple(var(f"x{i}") for i in range(k))) for c, k in calc.signature.connectives]
+    rng = random.Random(cid)
+    paths = set()
+    for prems, goal in seeded_sequents(cid, seed=3, per_kind=1, max_depth=1):
+        base = canon_sort(prems) + [goal]
+        for depth in (0, 1, 2):
+            # 5000 binds at depth 2 for the ternary xor3
+            size = len(_universe(calc, base, depth, cap=5000))
+            for cap in sorted({min(size, 5000), size - 1, 30, 5}):
+                built = _universe(calc, base, depth, cap)
+                assert set(built) == set(_reference_universe(calc, base, depth, cap))
+                universe = _Universe(calc, base, depth, cap)
+                # the universe is built whole exactly when there is no
+                # unbuilt round, or the cap binds
+                assert (universe.top < 0) == (depth == 0 or size > cap)
+                paths.add(universe.top < 0)
+                members = list(built)
+                for phi in [*schemas, *shapes]:
+                    names = [v.name for v in variables(phi)]
+                    for _ in range(20):
+                        sigma = {name: rng.choice(members) for name in names}
+                        instance = apply_substitution(sigma, phi)
+                        got = _member(phi)(sigma, universe.levels, universe.top)
+                        assert got is (instance if instance in built else None), (text(phi), text(instance))
+                for shape in shapes:
+                    for pos, a in itertools.product(range(len(shape.args)), rng.sample(members, min(8, len(members)))):
+                        _assert_enumerates(universe, built, shape, {f"x{pos}": a}, depth)
+                for phi in schemas:
+                    names = [v.name for v in variables(phi)]
+                    _assert_enumerates(universe, built, phi, {}, depth)
+                    if names:
+                        _assert_enumerates(universe, built, phi, {names[0]: rng.choice(members)}, depth)
+    assert paths == {False, True}
+
+
+def _assert_enumerates(universe, built, phi: Formula, sigma: dict, depth: int) -> None:
+    got = {}
+    for filled in universe.extensions(phi, sigma, depth):
+        instance = apply_substitution(filled, phi)
+        assert instance not in got and filled == _reference_match(phi, instance, sigma), text(instance)
+        got[instance] = filled
+    want = {u for u in built if _matcher(phi)(u, sigma) is not None}
+    assert set(got) == want, (text(phi), {n: text(f) for n, f in sigma.items()})
