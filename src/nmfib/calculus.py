@@ -456,8 +456,8 @@ def derive(
       visited there, in step order, as the scan would reach them.
     * Compiled schemas.  Each schema is matched (_matcher), looked up
       (syntax.instance_lookup) and tested for membership (_member) by code
-      compiled for it on first use.  Only accepted conclusions are built,
-      so rejected candidates never enter the intern pool.
+      compiled for it on first use.  Only universe members are built, so
+      rejected candidates never enter the intern pool.
 
     Premises and goal may mention connectives the calculus does not govern;
     such subformulas are opaque monoliths the rules can carry around but
