@@ -37,6 +37,7 @@ from .syntax import (
     apply_substitution,
     params,
     parse,
+    subformulas,
     var,
 )
 
@@ -335,6 +336,11 @@ def functionally_complete(frag: FragmentSpec) -> bool:
 # Clone closure at a fixed arity
 # ---------------------------------------------------------------------------
 
+def _minterms(g: BooleanFunction) -> list[tuple[int, ...]]:
+    """The argument vectors on which g is 1."""
+    return [_row_args(row, g.arity) for row in range(1 << g.arity) if g.on_row(row)]
+
+
 def _compose_bits(minterms: Sequence[tuple[int, ...]], hs: Sequence[int], full: int) -> int:
     """Table of g(h1..hm) as a mask over the rows of full, given the
     argument vectors on which g is 1: each contributes the rows where every
@@ -363,7 +369,7 @@ def _frontier_tuples(new_item, older: Sequence, m: int):
 
 def _check_closure_arity(k: int) -> None:
     if not 1 <= k <= 4:
-        raise ValueError("closure arity must be between 1 and 4")
+        raise ValueError(f"closure arity (--arity) must be between 1 and 4 (got {k})")
 
 
 def _closure(named_gens: Sequence[tuple[str, BooleanFunction]], k: int) -> Iterator[tuple[int, object]]:
@@ -380,11 +386,7 @@ def _closure(named_gens: Sequence[tuple[str, BooleanFunction]], k: int) -> Itera
     full = (1 << (1 << k)) - 1
     start: list[tuple[int, object]] = [(_projection(k, j), j) for j in range(1, k + 1)]
     start += [(full if g.bits & 1 else 0, (name, ())) for name, g in named_gens if g.arity == 0]
-    ops = [
-        (name, g.arity, [_row_args(row, g.arity) for row in range(1 << g.arity) if g.on_row(row)])
-        for name, g in named_gens
-        if g.arity > 0
-    ]
+    ops = [(name, g.arity, _minterms(g)) for name, g in named_gens if g.arity > 0]
     order: list[int] = []
     for bits, recipe in start:
         if bits not in order:
@@ -429,20 +431,16 @@ def clone_closure_at_arity(generators: Iterable[BooleanFunction], k: int) -> fro
     return frozenset(BooleanFunction(k, bits) for bits in range(1 << (1 << k)) if member(k, bits))
 
 
-def clone_expressions(
-    generators: Mapping[str, BooleanFunction],
-    k: int,
-    targets: Optional[Iterable[int]] = None,
-) -> dict[int, Formula]:
+def clone_expressions(generators: Mapping[str, BooleanFunction], k: int, targets: Iterable[int]) -> dict[int, Formula]:
     """Derived connectives over the generator names, written in p1..pk: one
-    for each table of the k-ary slice of the generators' clone, keyed by
-    the table's bits.
+    for each table of the k-ary slice of the generators' clone found up to
+    the last of the target tables, keyed by the table's bits.
 
-    Discovery order, so returned expressions stay small.  Stops early once
-    all requested target tables are found; a target outside the clone makes
-    the search run through the whole slice.
+    Discovery order, so returned expressions stay small.  Stops once all
+    target tables are found; a target outside the clone makes the search
+    run through the whole slice.
     """
-    want = set(targets) if targets is not None else None
+    want = set(targets)
     found: dict[int, Formula] = {}
     for bits, recipe in _closure(sorted(generators.items()), k):
         if isinstance(recipe, int):
@@ -450,10 +448,9 @@ def clone_expressions(
         else:
             name, hs = recipe
             found[bits] = app(name, tuple(found[h] for h in hs))
-        if want is not None:
-            want.discard(bits)
-            if not want:
-                break
+        want.discard(bits)
+        if not want:
+            break
     return found
 
 
@@ -468,23 +465,21 @@ def find_expression(frag: FragmentSpec, target: BooleanFunction) -> Optional[For
 
 
 def function_of_formula(phi: Formula, frag: FragmentSpec, k: int) -> BooleanFunction:
-    """The Boolean function of a derived connective phi(p1..pk) over a fragment."""
-    allowed = {f"p{i}" for i in range(1, k + 1)}
-
-    def eval_at(psi: Formula, env: dict[str, int]) -> int:
+    """The Boolean function of a derived connective phi(p1..pk) over a
+    fragment: each subformula's table is composed from its arguments'
+    tables, arguments first."""
+    full = (1 << (1 << k)) - 1
+    tables = {var(f"p{j}"): _projection(k, j) for j in range(1, k + 1)}
+    for psi in subformulas(phi):
         if isinstance(psi, Var):
-            if psi.name not in allowed:
+            if psi not in tables:
                 raise SignatureError(f"variable {psi.name} outside p1..p{k}")
-            return env[psi.name]
+            continue
         f = frag.function(psi.head)
-        return f(*(eval_at(a, env) for a in psi.args))
-
-    bits = 0
-    for row in range(1 << k):
-        env = {f"p{i + 1}": b for i, b in enumerate(_row_args(row, k))}
-        if eval_at(phi, env):
-            bits |= 1 << row
-    return BooleanFunction(k, bits)
+        if len(psi.args) != f.arity:
+            raise ValueError(f"arity {f.arity} function got {len(psi.args)} arguments")
+        tables[psi] = _compose_bits(_minterms(f), [tables[a] for a in psi.args], full)
+    return BooleanFunction(k, tables[phi])
 
 
 def nontop_unary_witness(name: str, f: BooleanFunction) -> Formula:

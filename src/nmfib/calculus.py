@@ -110,15 +110,13 @@ def builtin_calculus(cid: str) -> HilbertCalculus:
 
 def renamed(calc: HilbertCalculus, mapping: Mapping[str, str]) -> HilbertCalculus:
     """A copy of the calculus with connectives renamed (e.g. a second
-    conjunction called and2)."""
-
-    def ren(phi: Formula) -> Formula:
-        if isinstance(phi, Var):
-            return phi
-        return app(mapping.get(phi.head, phi.head), tuple(ren(a) for a in phi.args))
-
+    conjunction called and2).  Each subformula of the rules is renamed once,
+    its arguments before it."""
+    ren: dict[Formula, Formula] = {}
+    for phi in subformula_closure(f for r in calc.rules for f in (*r.premises, r.conclusion)):
+        ren[phi] = phi if isinstance(phi, Var) else app(mapping.get(phi.head, phi.head), [ren[a] for a in phi.args])
     sig = Signature.of([(mapping.get(n, n), k) for n, k in calc.signature.connectives])
-    rules = [Rule.of(r.name, [ren(p) for p in r.premises], ren(r.conclusion)) for r in calc.rules]
+    rules = [Rule.of(r.name, [ren[p] for p in r.premises], ren[r.conclusion]) for r in calc.rules]
     return HilbertCalculus.of(sig, rules)
 
 
@@ -256,11 +254,10 @@ def _universe(calc: HilbertCalculus, base: Sequence[Formula], depth_bound: int, 
     the bounds only appends; the last round's members are never sorted."""
     closure = subformula_closure(base)
     members = dict.fromkeys([*closure, fresh_var(u for u in closure if type(u) is Var)], 0)
-    depths: dict[Formula, int] = {}
     for level in range(1, depth_bound + 1):
         if len(members) > cap:
             break
-        grown = sorted(members, key=lambda f: (depth(f, depths), text(f)))
+        grown = sorted(members, key=lambda f: (depth(f), text(f)))
         for conn, arity in calc.signature.connectives:
             for args in itertools.product(grown, repeat=arity):
                 u = app(conn, args)
@@ -305,7 +302,8 @@ class _Universe:
     built rounds is then a member exactly when its arguments are in them.
     If the count passes the cap, the cap decides which members exist: the
     universe is built whole, as _universe builds it, membership is looked
-    up, and top is -1."""
+    up, and top is -1.  At depth bound 0 the base is the whole universe,
+    and top is -1 too."""
 
     def __init__(self, calc: HilbertCalculus, base: Sequence[Formula], depth_bound: int, cap: int):
         self.build = functools.partial(_universe, calc, base, depth_bound, cap)
@@ -314,7 +312,7 @@ class _Universe:
         size = n + sum(n**k for _, k in calc.signature.connectives)
         size -= sum(type(u) is App and arity(u.head) == len(u.args) for u in levels)
         self.top = depth_bound if depth_bound and size <= cap else -1
-        self.levels = levels if self.top >= 0 else self.build()
+        self.levels = levels if self.top >= 0 or not depth_bound else self.build()
         self.upto: dict[int, list[Formula]] = {}
 
     def members(self, bound: int) -> list[Formula]:
@@ -329,15 +327,22 @@ class _Universe:
         """Every extension of sigma under which phi is a member of level at
         most bound, built schema first: an argument of a compound sits one
         level lower, a free variable ranges over the members of its level,
-        and at level 0 the schema is matched against the base."""
+        and at level 0 the schema is matched against the base members with
+        its first argument that sigma binds whole, or against every base
+        member if it has none."""
         if type(phi) is Var:
             t = sigma.get(phi.name)
             if t is None:
                 return [{**sigma, phi.name: u} for u in self.members(bound)]
             return [sigma] if self.levels.get(t, self.top) <= bound else []
         if not bound:
+            candidates = self.members(0)
+            for j, names, lookup in _arguments(phi):
+                if names <= sigma.keys():
+                    candidates = self.base_by_arg.get((phi.head, j, lookup(sigma)), ())
+                    break
             match = _matcher(phi)
-            return [s for u in self.members(0) if (s := match(u, sigma)) is not None]
+            return [s for u in candidates if (s := match(u, sigma)) is not None]
         out = [sigma]
         for a in phi.args:
             out = [s2 for s in out for s2 in self.extensions(a, s, bound - 1)]
@@ -346,9 +351,26 @@ class _Universe:
             out = [s for s in out if lookup(s) in self.levels]
         return out
 
+    @functools.cached_property
+    def base_by_arg(self) -> dict[tuple[str, int, Formula], list[Formula]]:
+        """The base members by (head, argument position, argument), each
+        list in base order; built on first need."""
+        index: dict[tuple[str, int, Formula], list[Formula]] = {}
+        for u in self.members(0):
+            for j, a in enumerate(u.args if type(u) is App else ()):
+                index.setdefault((u.head, j, a), []).append(u)
+        return index
+
 
 def _names(phi: Formula) -> set[str]:
     return {v.name for v in variables(phi)}
+
+
+@functools.cache
+def _arguments(phi: App) -> tuple[tuple[int, frozenset[str], Callable], ...]:
+    """Each argument of a schema as (position, its variables, its compiled
+    instance lookup)."""
+    return tuple((j, frozenset(_names(a)), instance_lookup(a)) for j, a in enumerate(phi.args))
 
 
 @functools.cache
@@ -474,7 +496,6 @@ def derive(
         for pattern, pos in zip(rule.premises, scans):
             if pos is not None:
                 read_by_arg.setdefault(pattern.head, set()).add(pos)
-    depths: dict[Formula, int] = {}  # for the (depth, text) order of free-variable candidates
 
     steps: list[Step] = []
     formulas: list[Formula] = []
@@ -527,7 +548,7 @@ def derive(
             for filled in universe.extensions(concl, sigma, depth_bound):
                 if leftover:
                     u = build(filled)
-                    found.append(((depth(u, depths), text(u)), u, filled, used))
+                    found.append(((depth(u), text(u)), u, filled, used))
                     continue
                 k = index.get(last_instance(filled))  # type: ignore[misc]
                 if k is not None and low <= k < end:

@@ -441,9 +441,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RecursionError:
-        # parse, the recursive-descent parser, is the first walk that a
-        # deep enough formula takes past the interpreter stack
-        print("error: formula too deep (nesting exceeds the recursion limit)", file=sys.stderr)
+        # no formula walk recurses, but derive's premise matching takes one
+        # frame per premise of a rule, so a rule with enough premises
+        # reaches the interpreter's limit
+        print("error: a rule has too many premises for the derivation search (recursion limit exceeded)", file=sys.stderr)
         return 1
 
 

@@ -604,7 +604,7 @@ def k_determinedness_probe(
     logic has no k-value non-deterministic semantics.
     """
     if k < 1:
-        raise ValueError("k must be positive")
+        raise ValueError(f"k (--k) must be at least 1 (got {k})")
     product = fibred_semantics(f1, f2, n)
     calc = merge(auto_calculus(f1), auto_calculus(f2))
     for gamma, phi in _kdet_families(f1, f2, k):

@@ -16,7 +16,7 @@ import os
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .semantics import Cell, MatrixError, Nmatrix
-from .syntax import Formula, Translation, Var
+from .syntax import App, Formula, Translation, params, subformulas
 
 __all__ = [
     "SizeCapExceeded",
@@ -134,19 +134,17 @@ def translate_matrix(matrix: Nmatrix, t: Translation) -> Nmatrix:
     if not matrix.deterministic():
         raise MatrixError("translation image is only defined for deterministic matrices")
 
-    def eval_body(phi: Formula, env: Mapping[str, str]) -> str:
-        if isinstance(phi, Var):
-            return env[phi.name]
-        args = tuple(eval_body(a, env) for a in phi.args)
-        return matrix.cell(phi.head, args)[0]
-
     interp: dict[str, dict[tuple[str, ...], tuple[str, ...]]] = {}
     for conn, arity in t.source.connectives:
         body = t.body(conn)
+        order = subformulas(body)  # every argument before its parent
         cells = {}
         for args in itertools.product(matrix.values, repeat=arity):
-            env = {f"p{i + 1}": v for i, v in enumerate(args)}
-            cells[args] = (eval_body(body, env),)
+            value: dict[Formula, str] = dict(zip(params(arity), args))
+            for phi in order:
+                if isinstance(phi, App):
+                    value[phi] = matrix.cell(phi.head, tuple(value[a] for a in phi.args))[0]
+            cells[args] = (value[body],)
         interp[conn] = cells
     return Nmatrix(
         t.source,

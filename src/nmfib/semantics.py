@@ -244,10 +244,7 @@ class PartialValuation:
         return [f"{text(phi)} |-> {v}" for phi, v in self.assignment]
 
 
-def _assignment_order(
-    domain: Sequence[Formula],
-    favored: Sequence[Formula] = (),
-) -> list[Formula]:
+def _assignment_order(domain: Sequence[Formula], favored: Sequence[Formula]) -> list[Formula]:
     """Topological order on the domain (subformulas first), scheduling each
     favored formula as early as its subformulas allow.  Constraint-carrying
     formulas placed early let the search prune whole branches at once.

@@ -10,6 +10,12 @@ one of that name, and a sentential variable otherwise.  Everything is
 immutable.  Formulas are hash-consed: var() and app() are the only
 constructors and return one shared object per formula, so formulas compare
 and hash by identity.
+
+No walk over a formula recurses: parse keeps its open applications on a
+stack, apply_substitution and the canonical key walk explicit stacks, and
+a bottom-up evaluation can follow subformulas(phi), whose canonical order
+puts every argument before its parent.  So formulas of any nesting parse,
+print and substitute.
 """
 
 from __future__ import annotations
@@ -193,36 +199,16 @@ def text(phi: Formula) -> str:
     return canon_key(phi)[1]
 
 
-def depth(phi: Formula, memo: Optional[dict[Formula, int]] = None) -> int:
+def depth(phi: Formula) -> int:
     """Nesting depth of connectives with arguments (0 for variables and
-    constants), walked with an explicit stack.
-
-    memo maps formulas to their depths; a caller measuring many formulas
-    that share subformulas passes one dict to all calls, so each distinct
-    subformula is walked once."""
-    if memo is None:
-        memo = {}
-    stack = [phi]
-    while stack:
-        psi = stack[-1]
-        if psi in memo:
-            stack.pop()
-        elif isinstance(psi, Var) or not psi.args:
-            memo[psi] = 0
-            stack.pop()
-        else:
-            missing = [a for a in psi.args if a not in memo]
-            if missing:
-                stack.extend(missing)
-            else:
-                memo[psi] = 1 + max(memo[a] for a in psi.args)
-                stack.pop()
-    return memo[phi]
+    constants), read off phi's canonical key."""
+    return canon_key(phi)[3]
 
 
 def canon_key(phi: Formula) -> tuple:
     """Sort key giving the canonical (reproducible) order on formulas:
-    (size, text, is-App).
+    (size, text, is-App, depth).  The depth comes last, so it leaves the
+    order as it was; depth() reads it.
 
     Each formula's key is computed once, from its arguments' keys, and kept
     on the formula; the walk uses an explicit stack, so no depth of nesting
@@ -234,7 +220,7 @@ def canon_key(phi: Formula) -> tuple:
     while stack:
         psi = stack[-1]
         if isinstance(psi, Var):
-            object.__setattr__(psi, "_key", (1, psi.name, False))
+            object.__setattr__(psi, "_key", (1, psi.name, False, 0))
             stack.pop()
             continue
         missing = [a for a in psi.args if a._key is None]
@@ -246,7 +232,8 @@ def canon_key(phi: Formula) -> tuple:
             continue
         keys = [a._key for a in psi.args]
         label = f"{psi.head}({','.join(k[1] for k in keys)})" if keys else psi.head
-        object.__setattr__(psi, "_key", (1 + sum(k[0] for k in keys), label, True))
+        height = 1 + max(k[3] for k in keys) if keys else 0
+        object.__setattr__(psi, "_key", (1 + sum(k[0] for k in keys), label, True, height))
     return phi._key
 
 
@@ -319,64 +306,57 @@ def parse(src: str, sig: Signature) -> Formula:
     """Parse formula text over the given signature.
 
     Bare identifiers declared 0-ary in the signature are connectives; all
-    other bare identifiers are variables.
+    other bare identifiers are variables.  One loop reads the text left to
+    right, keeping the applications still open on a stack, so no depth of
+    nesting exhausts the interpreter stack.
     """
-    pos = 0
-    n = len(src)
-
-    def skip_ws() -> None:
-        nonlocal pos
+    arities = sig._arities
+    pos, n = 0, len(src)
+    open_apps: list[tuple[str, int, list[Formula]]] = []  # (name, start, arguments so far)
+    while True:
+        # a formula starts here: an identifier, then "(" or nothing for a leaf
+        start = pos
         while pos < n and src[pos].isspace():
             pos += 1
-
-    def expect(ch: str) -> None:
-        nonlocal pos
-        skip_ws()
-        if pos >= n or src[pos] != ch:
-            raise ParseError(f"expected {ch!r}", pos)
-        pos += 1
-
-    def ident() -> str:
-        nonlocal pos
-        skip_ws()
         m = _IDENT.match(src, pos)
         if m is None:
             raise ParseError("expected identifier", pos)
-        pos = m.end()
-        return m.group()
-
-    def formula() -> Formula:
-        nonlocal pos
-        start = pos
-        name = ident()
-        skip_ws()
-        if pos < n and src[pos] == "(":
+        name, pos = m.group(), m.end()
+        while pos < n and src[pos].isspace():
             pos += 1
-            args = [formula()]
-            skip_ws()
-            while pos < n and src[pos] == ",":
+        if pos < n and src[pos] == "(":
+            open_apps.append((name, start, []))
+            pos += 1
+            continue
+        k = arities.get(name)
+        if k:
+            raise ParseError(f"connective {name!r} of arity {k} needs arguments", start)
+        phi: Formula = var(name) if k is None else app(name, ())
+        # close every application that phi completes; stop at a comma
+        while open_apps:
+            name, start, args = open_apps[-1]
+            args.append(phi)
+            while pos < n and src[pos].isspace():
                 pos += 1
-                args.append(formula())
-                skip_ws()
-            expect(")")
-            k = sig.arity(name)
+            if pos < n and src[pos] == ",":
+                pos += 1
+                break
+            if pos >= n or src[pos] != ")":
+                raise ParseError("expected ')'", pos)
+            pos += 1
+            open_apps.pop()
+            k = arities.get(name)
             if k is None:
                 raise ParseError(f"unknown connective {name!r}", start)
             if k != len(args):
                 raise ParseError(f"connective {name!r} takes {k} arguments, got {len(args)}", start)
-            return app(name, args)
-        if sig.arity(name) == 0:
-            return app(name, ())
-        k = sig.arity(name)
-        if k is not None and k > 0:
-            raise ParseError(f"connective {name!r} of arity {k} needs arguments", start)
-        return var(name)
-
-    phi = formula()
-    skip_ws()
-    if pos != n:
-        raise ParseError("trailing input", pos)
-    return phi
+            phi = app(name, args)
+        else:
+            while pos < n and src[pos].isspace():
+                pos += 1
+            if pos != n:
+                raise ParseError("trailing input", pos)
+            return phi
 
 
 # ---------------------------------------------------------------------------
@@ -387,9 +367,28 @@ Substitution = Mapping[str, Formula]
 
 
 def apply_substitution(sigma: Substitution, phi: Formula) -> Formula:
-    if isinstance(phi, Var):
+    """phi with each variable named in sigma replaced.  The walk keeps a
+    stack of the compounds being rebuilt, each with the instances of its
+    arguments built so far; a leaf argument is filled in without a frame."""
+    if type(phi) is Var:
         return sigma.get(phi.name, phi)
-    return app(phi.head, tuple(apply_substitution(sigma, a) for a in phi.args))
+    frames: list[tuple[App, list[Formula]]] = [(phi, [])]
+    while True:
+        psi, built = frames[-1]
+        for a in psi.args[len(built):]:
+            if type(a) is Var:
+                built.append(sigma.get(a.name, a))
+            elif a.args:
+                frames.append((a, []))
+                break
+            else:
+                built.append(a)
+        else:
+            frames.pop()
+            instance = app(psi.head, built)
+            if not frames:
+                return instance
+            frames[-1][1].append(instance)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,11 @@ import pytest
 from nmfib import bundled
 from nmfib.boolfun import (
     BooleanFunction,
+    DERIVED_TRANSLATIONS,
+    PRIMITIVE_TABLES,
     FragmentSpec,
+    _derivation_fragment,
+    _row_args,
     classify,
     clone_closure_at_arity,
     find_expression,
@@ -18,10 +22,11 @@ from nmfib.boolfun import (
     separation_degree,
     standard_fragment,
     standard_function,
+    threshold_formula,
     threshold_function,
     load_fragment,
 )
-from nmfib.syntax import apply_substitution, text, var
+from nmfib.syntax import Formula, SignatureError, Var, app, apply_substitution, params, parse, text, var
 from test_clone_reference import reference_closure
 
 
@@ -282,3 +287,78 @@ def test_fragment_clone_membership_with_constants():
     for value in (0, 1):
         for clone in ("P0", "P1", "M", "D", "L", "E", "V", "N"):
             assert inside([BooleanFunction(0, value)], clone) == inside([BooleanFunction(1, 0b11 * value)], clone)
+
+
+def reference_function_of_formula(phi: Formula, frag: FragmentSpec, k: int) -> BooleanFunction:
+    """function_of_formula as it stood before it composed whole tables:
+    phi evaluated recursively once per row."""
+    allowed = {f"p{i}" for i in range(1, k + 1)}
+
+    def eval_at(psi: Formula, env: dict[str, int]) -> int:
+        if isinstance(psi, Var):
+            if psi.name not in allowed:
+                raise SignatureError(f"variable {psi.name} outside p1..p{k}")
+            return env[psi.name]
+        f = frag.function(psi.head)
+        return f(*(eval_at(a, env) for a in psi.args))
+
+    bits = 0
+    for row in range(1 << k):
+        env = {f"p{i + 1}": b for i, b in enumerate(_row_args(row, k))}
+        if eval_at(phi, env):
+            bits |= 1 << row
+    return BooleanFunction(k, bits)
+
+
+def _random_formula(rng: random.Random, frag: FragmentSpec, k: int, size: int) -> Formula:
+    """A formula of the fragment over p1..pk with about size connectives."""
+    if size <= 0 or rng.random() < 0.2:
+        leaves = [var(f"p{i}") for i in range(1, k + 1)]
+        leaves += [app(n, ()) for n, f in frag.functions if f.arity == 0]
+        return rng.choice(leaves)
+    name, f = rng.choice(frag.functions)
+    return app(name, tuple(_random_formula(rng, frag, k, (size - 1) // max(f.arity, 1)) for _ in range(f.arity)))
+
+
+def test_function_of_formula_agrees_with_reference_on_standard_tables():
+    frag = _derivation_fragment()
+    for name, (k, _) in PRIMITIVE_TABLES.items():
+        phi = app(name, params(k))
+        assert function_of_formula(phi, frag, k) == reference_function_of_formula(phi, frag, k) == standard_function(name)
+    for name, (k, src) in DERIVED_TRANSLATIONS.items():
+        phi = parse(src, frag.signature)
+        assert function_of_formula(phi, frag, k) == reference_function_of_formula(phi, frag, k) == standard_function(name)
+    for k in range(1, 5):
+        for n in range(k + 1):
+            phi = threshold_formula(k, n)
+            assert function_of_formula(phi, frag, k) == reference_function_of_formula(phi, frag, k), (k, n)
+            assert threshold_function(k, n) == function_of_formula(phi, frag, k)
+
+
+def test_function_of_formula_agrees_with_reference_on_bundled_fragments():
+    rng = random.Random(22)
+    for stem in bundled.stems("fragment"):
+        frag = load_fragment(bundled.read(f"{stem}.json", "fragment"))
+        for k in (1, 2, 3):
+            for size in (1, 3, 8, 20):
+                phi = _random_formula(rng, frag, k, size)
+                assert function_of_formula(phi, frag, k) == reference_function_of_formula(phi, frag, k), (stem, text(phi))
+        for name, f in frag.functions:
+            assert function_of_formula(app(name, params(f.arity)), frag, f.arity) == f, (stem, name)
+
+
+def test_function_of_formula_errors():
+    frag = standard_fragment("or", "neg")
+    for phi, k in ((parse("or(p1,p3)", frag.signature), 2), (var("q"), 1), (var("p1"), 0)):
+        with pytest.raises(SignatureError) as got:
+            function_of_formula(phi, frag, k)
+        with pytest.raises(SignatureError) as want:
+            reference_function_of_formula(phi, frag, k)
+        assert str(got.value) == str(want.value)
+    with pytest.raises(SignatureError, match="connective 'and' not in fragment"):
+        function_of_formula(app("and", params(2)), frag, 2)
+    # a deep formula is composed without recursion
+    chain = var("p1")
+    for _ in range(3001):
+        chain = app("neg", (chain,))
+    assert function_of_formula(chain, frag, 1) == standard_function("neg")

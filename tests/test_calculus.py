@@ -272,6 +272,26 @@ def test_derive_from_a_deep_premise():
     assert verify(res.derivation, c, [phi], p)
 
 
+def test_derive_from_a_deep_conjunction_at_depth_0():
+    # W11: and(...and(and(p,q),q)...,q) |- p under B_and at universe depth
+    # 0.  c3 (p, q / and(p,q)) finds its last premise through the
+    # conclusion; the base members with the bound first argument are read
+    # from an index, not found by matching every base member per match
+    c = builtin_calculus("B_and")
+    p, q = var("p"), var("q")
+    phi = app("and", (p, q))
+    for _ in range(299):
+        phi = app("and", (phi, q))
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        res = derive(c, [phi], p, universe_depth=0)
+        best = min(best, time.perf_counter() - start)
+    assert best < 0.5
+    assert isinstance(res, Derived) and len(res.derivation.steps) == 301
+    assert verify(res.derivation, c, [phi], p)
+
+
 # d1 (p / or(p,q)) and n3 (p, neg(p) / q) take their free conclusion
 # variable from the universe members in (depth, text) order, so that order
 # decides which conclusions the step cap lets in, and which derivation

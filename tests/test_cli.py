@@ -172,6 +172,18 @@ def test_power_n_below_one_is_named(capsys, n):
     assert (code, out, err) == (1, "", f"error: n (-n) must be at least 1 (got {n})\n")
 
 
+@pytest.mark.parametrize("arity", ["0", "5", "-1"])
+def test_clone_arity_out_of_range_is_named(capsys, arity):
+    code, out, err = run(capsys, "clone", "or.json", "--arity", arity)
+    assert (code, out, err) == (1, "", f"error: closure arity (--arity) must be between 1 and 4 (got {arity})\n")
+
+
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_kdet_k_below_one_is_named(capsys, k):
+    code, out, err = run(capsys, "kdet", "or.json", "or2.json", "--k", k)
+    assert (code, out, err) == (1, "", f"error: k (--k) must be at least 1 (got {k})\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -186,12 +198,29 @@ def test_negative_search_bound_is_named(capsys, argv, option):
     assert err == f"error: {option} must not be negative (got -1)\n"
 
 
-def test_deep_formula_is_a_clean_error(capsys):
+def test_deep_formula_is_decided(capsys):
+    # nesting far past the interpreter's recursion limit parses, derives
+    # (1500 double-negation introductions) and is decided
     deep = "neg(" * 3000 + "p" + ")" * 3000
+    code, out, err = run(capsys, "parse", deep, "--json")
+    assert (code, err, json.loads(out)) == (0, "", {"depth": 3000, "formula": deep})
     code, out, err = run(capsys, "derive", "--calculus", "B_neg.json", "--premises", "p", "--goal", deep)
-    assert code == 1 and out == "" and err.startswith("error: formula too deep")
-    code, out, err = run(capsys, "entail", "--system", "two_neg_product.json", "--conclusion", deep)
-    assert code == 1 and out == "" and err.startswith("error: formula too deep")
+    lines = out.splitlines()
+    assert (code, err, lines[0], len(lines)) == (0, "", "DERIVED", 1502)
+    assert lines[-1] == f"  1500. {deep}  [n1 1499]"
+    code, out, err = run(capsys, "entail", "--system", "negimp.json", "--premises", "p", "--conclusion", deep)
+    assert (code, out, err) == (0, "HOLDS\n", "")
+
+
+def test_rule_with_too_many_premises_is_a_clean_error(capsys, tmp_path):
+    # derive matches a rule's premises with one frame each; 1500 premises
+    # pass the interpreter's recursion limit, and main reports it
+    rule = {"name": "many", "premises": ["p"] * 1500, "conclusion": "neg(p)"}
+    path = tmp_path / "many.json"
+    path.write_text(json.dumps({"signature": [{"name": "neg", "arity": 1}], "rules": [rule]}), encoding="utf-8")
+    code, out, err = run(capsys, "derive", "--calculus", str(path), "--premises", "p", "--goal", "neg(p)")
+    assert (code, out) == (1, "")
+    assert err == "error: a rule has too many premises for the derivation search (recursion limit exceeded)\n"
 
 
 def test_wrong_kind_of_file_is_named(capsys):

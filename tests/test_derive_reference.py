@@ -108,8 +108,7 @@ def _reference_universe(calc: HilbertCalculus, base: list[Formula], depth_bound:
     round combines the pool so far, and the cap truncates breadth-first."""
     pool = list(subformula_closure(base))
     pool.append(fresh_var(base))
-    depths: dict[Formula, int] = {}
-    keys = {f: (depth(f, depths), text(f)) for f in pool}
+    keys = {f: (depth(f), text(f)) for f in pool}
     for _ in range(depth_bound):
         if len(keys) > cap:
             break
