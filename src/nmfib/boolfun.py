@@ -35,7 +35,6 @@ from .syntax import (
     Var,
     app,
     apply_substitution,
-    params,
     parse,
     subformulas,
     var,
@@ -56,7 +55,6 @@ __all__ = [
     "find_expression",
     "function_of_formula",
     "nontop_unary_witness",
-    "threshold_formula",
     "threshold_function",
     "standard_function",
     "standard_fragment",
@@ -544,33 +542,14 @@ def _derivation_fragment() -> FragmentSpec:
     return FragmentSpec.of(out)
 
 
-def threshold_formula(k: int, n: int) -> Formula:
-    """thr_k_n as a derived connective over the primitives.
-
-    thr_k_0 is top, thr_k_k is the k-fold conjunction, and in between
-    thr_k_n(p1..pk) = (p1 and thr_{k-1}_{n-1}(p2..pk)) or thr_{k-1}_n(p2..pk).
-    """
-    if not 0 <= n <= k:
-        raise ValueError(f"threshold needs 0 <= n <= k, got n={n}, k={k}")
-
-    def build(names: tuple[Var, ...], need: int) -> Formula:
-        if need == 0:
-            return app("top", ())
-        if need == len(names):
-            out: Formula = names[-1]
-            for v in reversed(names[:-1]):
-                out = app("and", (v, out))
-            return out
-        return app("or", (app("and", (names[0], build(names[1:], need - 1))), build(names[1:], need)))
-
-    return build(params(k), n)
-
-
 # the standard tables are computed once; a BooleanFunction is frozen, so
 # callers may share them
 @functools.cache
 def threshold_function(k: int, n: int) -> BooleanFunction:
-    return function_of_formula(threshold_formula(k, n), _derivation_fragment(), k)
+    """thr_k_n: true on a row when at least n of its k arguments are."""
+    if not 0 <= n <= k:
+        raise ValueError(f"threshold needs 0 <= n <= k, got n={n}, k={k}")
+    return BooleanFunction.from_callable(k, lambda *args: sum(args) >= n)
 
 
 @functools.cache

@@ -47,13 +47,16 @@ def read(name: str, kind: str, builtin: bool = False) -> dict:
     """The parsed JSON of a file of the given kind.
 
     A file on disk comes before the bundled file of the same name, unless
-    ``builtin`` asks for the bundled file only."""
+    ``builtin`` asks for the bundled file only.  Undecodable JSON is a ValueError naming the file."""
     source = _SYSTEMS / name
     if not builtin and Path(name).exists():
         source = Path(name)
     elif not source.is_file():
         raise ValueError(f"no such file: {name} (not on disk, not bundled)")
-    data = json.loads(source.read_text(encoding="utf-8"))
+    try:
+        data = json.loads(source.read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nesting past the decoder's limit
+        raise ValueError(f"{name} is not a JSON file ({exc})") from exc
     missing = _missing(data, kind)
     if missing:
         raise ValueError(f"{name} is not a {kind} file (missing {', '.join(repr(k) for k in missing)})")

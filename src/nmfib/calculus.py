@@ -251,7 +251,8 @@ def _universe(calc: HilbertCalculus, base: Sequence[Formula], depth_bound: int, 
     its level (the round that first made it, 0 for the base).  Each round
     combines the members so far in (depth, text) order, and the cap
     truncates breadth-first, deepest candidates dropped first, so enlarging
-    the bounds only appends; the last round's members are never sorted."""
+    the bounds only appends; the last round's members are never sorted.  A
+    round that adds nothing ends the closure, whatever the depth bound."""
     closure = subformula_closure(base)
     members = dict.fromkeys([*closure, fresh_var(u for u in closure if type(u) is Var)], 0)
     for level in range(1, depth_bound + 1):
@@ -265,6 +266,8 @@ def _universe(calc: HilbertCalculus, base: Sequence[Formula], depth_bound: int, 
                     members[u] = level
                     if len(members) > cap:
                         return members
+        if len(members) == len(grown):
+            break  # saturated: every later round combines the same members
     return members
 
 
@@ -303,7 +306,8 @@ class _Universe:
     If the count passes the cap, the cap decides which members exist: the
     universe is built whole, as _universe builds it, membership is looked
     up, and top is -1.  At depth bound 0 the base is the whole universe,
-    and top is -1 too."""
+    and top is -1 too.  Rounds stop at the first that adds nothing, so a
+    depth bound past saturation costs no more than saturation."""
 
     def __init__(self, calc: HilbertCalculus, base: Sequence[Formula], depth_bound: int, cap: int):
         self.build = functools.partial(_universe, calc, base, depth_bound, cap)
@@ -329,27 +333,37 @@ class _Universe:
         level lower, a free variable ranges over the members of its level,
         and at level 0 the schema is matched against the base members with
         its first argument that sigma binds whole, or against every base
-        member if it has none."""
-        if type(phi) is Var:
-            t = sigma.get(phi.name)
-            if t is None:
-                return [{**sigma, phi.name: u} for u in self.members(bound)]
-            return [sigma] if self.levels.get(t, self.top) <= bound else []
-        if not bound:
-            candidates = self.members(0)
-            for j, names, lookup in _arguments(phi):
-                if names <= sigma.keys():
-                    candidates = self.base_by_arg.get((phi.head, j, lookup(sigma)), ())
-                    break
-            match = _matcher(phi)
-            return [s for u in candidates if (s := match(u, sigma)) is not None]
+        member if it has none.  The schema's nodes come off a stack, left to
+        right, each extending every substitution found so far: the order of
+        a recursive walk, with no interpreter frame per level."""
         out = [sigma]
-        for a in phi.args:
-            out = [s2 for s in out for s2 in self.extensions(a, s, bound - 1)]
-        if self.top < 0:  # the cap decided the members: look each instance up
-            lookup = instance_lookup(phi)
-            out = [s for s in out if lookup(s) in self.levels]
+        todo: list[tuple[Formula, Optional[int]]] = [(phi, bound)]
+        while todo and out:
+            phi, bound = todo.pop()
+            if bound is None:  # the cap decided the members: look each instance up
+                lookup = instance_lookup(phi)
+                out = [s for s in out if lookup(s) in self.levels]
+            elif type(phi) is Var and phi.name in out[0]:  # all substitutions so far bind the same names
+                out = [s for s in out if self.levels.get(s[phi.name], self.top) <= bound]
+            elif type(phi) is Var:
+                out = [{**s, phi.name: u} for s in out for u in self.members(bound)]
+            elif not bound:
+                match = _matcher(phi)
+                out = [s2 for s in out for u in self.base_candidates(phi, s) if (s2 := match(u, s)) is not None]
+            else:
+                if self.top < 0:
+                    todo.append((phi, None))
+                todo.extend((a, bound - 1) for a in reversed(phi.args))
         return out
+
+    def base_candidates(self, phi: App, sigma: Mapping[str, Formula]) -> Sequence[Formula]:
+        """The base members phi may match under sigma: those with phi's
+        head and, at phi's first argument that sigma binds whole, its
+        instance; every base member when sigma binds no argument whole."""
+        for j, names, lookup in _arguments(phi):
+            if names <= sigma.keys():
+                return self.base_by_arg.get((phi.head, j, lookup(sigma)), ())
+        return self.members(0)
 
     @functools.cached_property
     def base_by_arg(self) -> dict[tuple[str, int, Formula], list[Formula]]:
@@ -374,35 +388,30 @@ def _arguments(phi: App) -> tuple[tuple[int, frozenset[str], Callable], ...]:
 
 
 @functools.cache
-def _rule_plan(rule: Rule) -> bool:
-    """Whether a rule's conclusion has schematic variables no premise binds;
-    their instances are then taken from the universe."""
-    bound = {v.name for phi in rule.premises for v in variables(phi)}
-    return not _names(rule.conclusion) <= bound
+def _join_plan(rule: Rule) -> tuple[bool, tuple[Optional[int], ...], Optional[int], bool]:
+    """How a rule's matches are found: (leftover, scans, via, led).
 
-
-@functools.cache
-def _join_plan(rule: Rule) -> tuple[tuple[Optional[int], ...], Optional[int]]:
-    """Where each premise of a rule takes its candidate steps from.
-
-    The second value, when not None, is a conclusion argument the earlier
-    premises bind: the last premise is then found through the universe
-    members with that argument.  This needs a conclusion with no variable
-    the premises leave free, and a last premise whose variables all occur
-    in the earlier premises or the conclusion, so that each universe member
-    fixes the last premise's instance.  The first value gives, per scanned
-    premise, the first argument whose variables the earlier premises all
-    bind: the premise then reads the steps indexed under that argument
-    instead of every step with its head.  It is None for the first premise,
-    a variable, a premise with no such argument and a last premise found
-    through the conclusion."""
+    leftover: the conclusion has variables no premise binds, whose
+    instances are taken from the universe.  via, when not None, is a
+    conclusion argument the earlier premises bind: the last premise is then
+    found through the universe members with that argument.  This needs no
+    leftover, and a last premise whose variables all occur in the earlier
+    premises or the conclusion, so that each member fixes its instance.
+    scans gives, per scanned premise, the first argument whose variables the
+    earlier premises all bind: the premise then reads the steps indexed
+    under that argument instead of every step with its head; None for the
+    first premise, a variable, a premise with no such argument and a last
+    premise found through the conclusion.  led: the two premises are a
+    variable and a compound with it as an argument, and the first premise's
+    steps are led by the second's."""
     prems = rule.premises
     before = [set()]
     for pattern in prems:
         before.append(before[-1] | _names(pattern))
     concl = rule.conclusion
+    leftover = not _names(concl) <= before[-1]
     via = None
-    if len(prems) >= 2 and isinstance(concl, App) and not _rule_plan(rule):
+    if len(prems) >= 2 and isinstance(concl, App) and not leftover:
         bound = before[-2]
         if _names(prems[-1]) <= bound | _names(concl):
             via = next((j for j, a in enumerate(concl.args) if _names(a) <= bound), None)
@@ -413,7 +422,9 @@ def _join_plan(rule: Rule) -> tuple[tuple[Optional[int], ...], Optional[int]]:
         else None
         for i, pattern in enumerate(prems)
     )
-    return scans, via
+    led = scanned == len(prems) == 2 and isinstance(prems[0], Var) and isinstance(prems[1], App)
+    led = led and prems[0] in prems[1].args
+    return leftover, scans, via, led
 
 
 def derive(
@@ -481,6 +492,10 @@ def derive(
       compiled for it on first use.  Only universe members are built, so
       rejected candidates never enter the intern pool.
 
+    A rule may have any number of premises and a schema any depth: fire and
+    _Universe.extensions walk them on explicit stacks.  The universe stops
+    at its first round that adds nothing, whatever the depth bound.
+
     Premises and goal may mention connectives the calculus does not govern;
     such subformulas are opaque monoliths the rules can carry around but
     never build.
@@ -489,10 +504,10 @@ def derive(
     depth_bound = max(universe_depth, 0)  # a negative depth bound, like 0, leaves the base alone
     universe = _Universe(calc, premises + [goal], depth_bound, cap=max(step_cap, 2000))
     levels, top = universe.levels, universe.top
-    plans = [(rule, _rule_plan(rule), *_join_plan(rule)) for rule in calc.rules]
+    plans = [(rule, *_join_plan(rule)) for rule in calc.rules]
     # per head, the argument positions premises read steps by
     read_by_arg: dict[str, set[int]] = {}
-    for rule, _, scans, _ in plans:
+    for rule, _, scans, _, _ in plans:
         for pattern, pos in zip(rule.premises, scans):
             if pos is not None:
                 read_by_arg.setdefault(pattern.head, set()).add(pos)
@@ -523,13 +538,12 @@ def derive(
         return Derived(_trim(steps, index, goal))
 
     def fire(plan: tuple, mark: int) -> Iterator:
-        """(conclusion, substitution, premise steps) for each new match."""
-        rule, leftover, scans, via = plan
+        """(conclusion, substitution, premise steps) for each new match,
+        joined on a stack of candidate generators, one per premise position."""
+        rule, leftover, scans, via, led = plan
         prems = rule.premises
         last = len(prems) - 1
-        # a variable first premise that is an argument of the second is led by it
-        led = last == 1 and via is None and isinstance(prems[0], Var) and isinstance(prems[1], App)
-        led = led and prems[0] in prems[1].args
+        scanned = last if via is not None else last + 1
         # the compiled schemas, fetched once per firing
         concl = rule.conclusion
         member, build = _member(concl), instance_lookup(concl, True)
@@ -557,10 +571,7 @@ def derive(
             for _, u, filled, steps_used in found:
                 yield u or build(filled), filled, steps_used
 
-        def match_from(i: int, sigma: dict[str, Formula], used: tuple[int, ...], fresh: bool) -> Iterator:
-            if i > last or (i == last and via is not None):
-                yield from conclude(sigma, used, fresh)
-                return
+        def candidates(i: int, sigma: dict[str, Formula], used: tuple[int, ...], fresh: bool) -> Iterator:
             pattern = prems[i]
             pos = scans[i]
             if isinstance(pattern, Var):
@@ -576,7 +587,7 @@ def derive(
                 k = entries[j]
                 nxt = match(formulas[k], sigma)
                 if nxt is not None:
-                    yield from match_from(i + 1, nxt, used + (k,), fresh or k >= mark)
+                    yield nxt, used + (k,), fresh or k >= mark
 
         def led_by_second() -> Iterator:
             name, second = prems[0].name, prems[1]
@@ -597,9 +608,21 @@ def derive(
                 j = heapq.heappop(todo)
                 if j > k:
                     k = j
-                    yield from match_from(1, {name: formulas[k]}, (k,), k >= mark)
+                    yield {name: formulas[k]}, (k,), k >= mark
 
-        return led_by_second() if led else match_from(0, {}, (), False)
+        if not scanned:
+            yield from conclude({}, (), False)
+            return
+        stack = [led_by_second() if led else candidates(0, {}, (), False)]
+        while stack:
+            for sigma, used, fresh in stack[-1]:
+                if len(stack) == scanned:
+                    yield from conclude(sigma, used, fresh)
+                else:
+                    stack.append(candidates(len(stack), sigma, used, fresh))
+                    break
+            else:
+                stack.pop()
 
     marks: list[Optional[int]] = [None] * len(plans)
     while True:

@@ -440,12 +440,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         # ParseError, SignatureError and MatrixError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except RecursionError:
-        # no formula walk recurses, but derive's premise matching takes one
-        # frame per premise of a rule, so a rule with enough premises
-        # reaches the interpreter's limit
-        print("error: a rule has too many premises for the derivation search (recursion limit exceeded)", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

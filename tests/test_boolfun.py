@@ -22,7 +22,6 @@ from nmfib.boolfun import (
     separation_degree,
     standard_fragment,
     standard_function,
-    threshold_formula,
     threshold_function,
     load_fragment,
 )
@@ -32,6 +31,28 @@ from test_clone_reference import reference_closure
 
 def bf(s, k):
     return BooleanFunction.from_string(s, k)
+
+
+def threshold_formula(k: int, n: int) -> Formula:
+    """thr_k_n as a derived connective over the primitives, the reference
+    for the closed-form tables of threshold_function.
+
+    thr_k_0 is top, thr_k_k is the k-fold conjunction, and in between
+    thr_k_n(p1..pk) = (p1 and thr_{k-1}_{n-1}(p2..pk)) or thr_{k-1}_n(p2..pk).
+    """
+    assert 0 <= n <= k
+
+    def build(names: tuple[Var, ...], need: int) -> Formula:
+        if need == 0:
+            return app("top", ())
+        if need == len(names):
+            out: Formula = names[-1]
+            for v in reversed(names[:-1]):
+                out = app("and", (v, out))
+            return out
+        return app("or", (app("and", (names[0], build(names[1:], need - 1))), build(names[1:], need)))
+
+    return build(params(k), n)
 
 
 def test_bit_order_is_big_endian_first_argument():

@@ -212,15 +212,46 @@ def test_deep_formula_is_decided(capsys):
     assert (code, out, err) == (0, "HOLDS\n", "")
 
 
-def test_rule_with_too_many_premises_is_a_clean_error(capsys, tmp_path):
-    # derive matches a rule's premises with one frame each; 1500 premises
-    # pass the interpreter's recursion limit, and main reports it
+def _calculus_file(tmp_path, rule, *connectives):
+    path = tmp_path / f"{rule['name']}.json"
+    signature = [{"name": name, "arity": arity} for name, arity in connectives]
+    path.write_text(json.dumps({"signature": signature, "rules": [rule]}), encoding="utf-8")
+    return str(path)
+
+
+def test_rule_with_many_premises_derives(capsys, tmp_path):
+    # derive joins a rule's premises on a stack, so 1500 premises, far past
+    # the interpreter's recursion limit, are matched like two
     rule = {"name": "many", "premises": ["p"] * 1500, "conclusion": "neg(p)"}
-    path = tmp_path / "many.json"
-    path.write_text(json.dumps({"signature": [{"name": "neg", "arity": 1}], "rules": [rule]}), encoding="utf-8")
-    code, out, err = run(capsys, "derive", "--calculus", str(path), "--premises", "p", "--goal", "neg(p)")
-    assert (code, out) == (1, "")
-    assert err == "error: a rule has too many premises for the derivation search (recursion limit exceeded)\n"
+    path = _calculus_file(tmp_path, rule, ("neg", 1))
+    code, out, err = run(capsys, "derive", "--calculus", path, "--premises", "p", "--goal", "neg(p)")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["DERIVED", "  0. p  [premise]", f"  1. neg(p)  [many {','.join(['0'] * 1500)}]"]
+
+
+@pytest.mark.parametrize("connectives", [[("neg", 1)], [("neg", 1), ("and", 2)]], ids=["neg", "neg-and"])
+def test_deep_conclusion_schema_is_searched(capsys, tmp_path, connectives):
+    # the universe walks a conclusion schema on a stack, so its nesting and
+    # the universe depth, both taken from input, may pass the interpreter's
+    # recursion limit; with and in the signature the cap decides the
+    # members, and the walk stops at the first level with no instance
+    deep = "neg(" * 1100 + "q" + ")" * 1100
+    path = _calculus_file(tmp_path, {"name": "deep", "premises": ["p"], "conclusion": deep}, *connectives)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "derive", "--calculus", path, "--premises", "p", "--goal", "neg(q)", "--universe-depth", "1100")
+    elapsed = time.perf_counter() - start
+    assert (code, out, err) == (2, "NOT FOUND AT BOUND (universe saturated; universe depth 1100, step cap 10000)\n", "")
+    if len(connectives) == 2:
+        assert elapsed < 1.0
+
+
+def test_universe_depth_past_saturation_answers(capsys):
+    # the universe of B_bot stops growing after one round; later rounds
+    # would combine the same members, so none is run
+    start = time.perf_counter()
+    code, out, err = run(capsys, "derive", "--calculus", "B_bot.json", "--premises", "p", "--goal", "bot", "--universe-depth", "1000000000")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (2, "NOT FOUND AT BOUND (universe saturated; universe depth 1000000000, step cap 10000)\n", "")
 
 
 def test_wrong_kind_of_file_is_named(capsys):
@@ -520,6 +551,24 @@ def test_malformed_entry_is_named(tmp_path, monkeypatch, capsys, kind, data, mes
     }[kind]
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"[" * 100000 + b"]" * 100000, "maximum recursion depth exceeded"),
+        (b"{", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+        (b"\xff{}", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    ],
+    ids=["nested", "unclosed", "not-utf8"],
+)
+def test_malformed_json_is_named(tmp_path, monkeypatch, capsys, content, message):
+    (tmp_path / "bad.json").write_bytes(content)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "entail", "--system", "bad.json", "--conclusion", "p")
+    # one line, naming the file; the decoder's own message follows
+    assert (code, out, err.count("\n")) == (1, "", 1)
+    assert err.startswith(f"error: bad.json is not a JSON file ({message}") and err.endswith(")\n")
 
 
 def test_builtins_are_not_shadowed_by_the_working_directory(tmp_path, monkeypatch, capsys):

@@ -184,7 +184,7 @@ def test_translate_matrix_examples():
     # majority through the threshold scheme over and/or
     frag2 = standard_fragment("and", "or", "top")
     m2 = two_valued_matrix(frag2)
-    from nmfib.boolfun import threshold_formula
+    from test_boolfun import threshold_formula
 
     t2 = Translation.of(Signature.of({"maj": 3}), frag2.signature, {"maj": threshold_formula(3, 2)})
     mm = translate_matrix(m2, t2)

@@ -1,10 +1,20 @@
-"""No function in ``src/nmfib/*.py`` calls itself, apart from an allowlist.
+"""No function in ``src/nmfib/*.py`` calls itself, directly or through a
+cycle of calls among the package's functions, apart from an allowlist.
 
-A function counts as calling itself when its body, nested functions
-included, calls its own name as a bare name, or, for a method, as
-``self.<name>``.  Formula walks must not recurse: the interpreter stack
-would bound the nesting a formula may have.  Each recursion kept is listed
-with what bounds its depth.  Mutual recursion is not looked for.
+A function calls another when its body, the functions nested in it not
+counted, calls it by a bare name, or, in a method or a function nested in
+one, as ``self.<name>``.  A bare name is looked up as Python looks it up:
+in the function's own scope, then in the enclosing functions', then at the
+top of its module, where it may be a function defined there or one
+imported from another module of the package (``from .syntax import app``).
+A name a scope binds otherwise, as a parameter or a variable, is not a
+function.  Calls through other attributes, and functions passed as values,
+are not followed.
+
+Neither a formula walk nor any other walk over input may recurse: the
+interpreter stack would bound the nesting a formula, a rule or a file may
+have, and the recursion limit would reach the user as a traceback.  Each
+recursion kept is listed with what bounds its depth.
 """
 
 from __future__ import annotations
@@ -16,49 +26,89 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # module:qualified name -> what bounds the recursion
 ALLOWED = {
-    "calculus.py:derive.fire.match_from": "one frame per premise of a rule; cli.main reports a rule past the limit",
-    "calculus.py:_Universe.extensions": "one frame per schema level, at most the universe depth",
-    "boolfun.py:threshold_formula.build": "one frame per argument of thr_k_n; its 2^k-row table bounds k first",
     "fibring.py:_random_sequent.gen": "one frame per level of a seeded formula, at most its small depth argument",
 }
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+_SCOPES = (*_DEFS, ast.ClassDef)
 
 
-def self_calls(source: str) -> list[str]:
-    """The qualified names of the functions that call themselves, sorted."""
-    found: set[str] = set()
-    stack: list[tuple[ast.AST, str, bool]] = [(ast.parse(source), "", False)]
+def _own_nodes(function: ast.AST):
+    """The nodes of a function's body and signature, the functions and
+    classes nested in it not entered."""
+    stack = list(ast.iter_child_nodes(function))
     while stack:
-        node, prefix, in_class = stack.pop()
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.ClassDef):
-                stack.append((child, f"{prefix}{child.name}.", True))
-            elif isinstance(child, _DEFS):
-                for call in ast.walk(child):
-                    if not isinstance(call, ast.Call):
-                        continue
-                    f = call.func
-                    by_name = isinstance(f, ast.Name) and f.id == child.name
-                    by_self = (
-                        in_class
-                        and isinstance(f, ast.Attribute)
-                        and f.attr == child.name
-                        and isinstance(f.value, ast.Name)
-                        and f.value.id == "self"
-                    )
-                    if by_name or by_self:
-                        found.add(prefix + child.name)
-                stack.append((child, f"{prefix}{child.name}.", False))
-            else:
-                stack.append((child, prefix, in_class))
+        node = stack.pop()
+        yield node
+        if not isinstance(node, _SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def call_graph(modules: dict[str, str]) -> dict[str, set[str]]:
+    """Each function of the modules (file name -> source), as
+    file:qualified name, with the functions it calls."""
+    graph: dict[str, set[str]] = {}
+    # (function node, its qualified name, its class for self calls, the
+    # scopes it sees, innermost first: name -> function, or None for a name
+    # bound otherwise)
+    todo: list[tuple[ast.AST, str, str, list[dict[str, str | None]]]] = []
+    for module, source in modules.items():
+        tree = ast.parse(source)
+        top: dict[str, str | None] = {}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                top.update({a.asname or a.name: f"{node.module}.py:{a.name}" for a in node.names})
+            elif isinstance(node, _DEFS):
+                top[node.name] = f"{module}:{node.name}"
+        for node in tree.body:
+            if isinstance(node, _DEFS):
+                todo.append((node, f"{module}:{node.name}", "", [top]))
+            elif isinstance(node, ast.ClassDef):
+                for method in node.body:
+                    if isinstance(method, _DEFS):
+                        todo.append((method, f"{module}:{node.name}.{method.name}", f"{module}:{node.name}", [top]))
+    while todo:
+        function, name, cls, scopes = todo.pop()
+        args = function.args
+        scope: dict[str, str | None] = {
+            a.arg: None for a in (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg) if a
+        }
+        calls = []
+        for node in _own_nodes(function):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                scope.setdefault(node.id, None)
+            elif isinstance(node, _DEFS):
+                scope[node.name] = f"{name}.{node.name}"
+                todo.append((node, f"{name}.{node.name}", cls, [scope, *scopes]))
+            elif isinstance(node, ast.Call):
+                calls.append(node.func)
+        callees = graph.setdefault(name, set())
+        for f in calls:
+            if isinstance(f, ast.Name):
+                callees.add(next((s[f.id] for s in (scope, *scopes) if f.id in s), None))
+            elif cls and isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) and f.value.id == "self":
+                callees.add(f"{cls}.{f.attr}")
+    return {name: callees & graph.keys() for name, callees in graph.items()}
+
+
+def on_cycles(modules: dict[str, str]) -> list[str]:
+    """The functions of the modules that are on a cycle of calls, sorted."""
+    graph = call_graph(modules)
+    found = []
+    for start, callees in graph.items():
+        seen, stack = set(callees), list(callees)
+        while stack and start not in seen:
+            for callee in graph[stack.pop()] - seen:
+                seen.add(callee)
+                stack.append(callee)
+        if start in seen:
+            found.append(start)
     return sorted(found)
 
 
 def test_no_function_calls_itself_unless_allowed():
-    found = []
-    for path in sorted((ROOT / "src" / "nmfib").glob("*.py")):
-        found += [f"{path.name}:{name}" for name in self_calls(path.read_text(encoding="utf-8"))]
+    modules = {path.name: path.read_text(encoding="utf-8") for path in sorted((ROOT / "src" / "nmfib").glob("*.py"))}
+    found = on_cycles(modules)
     assert sorted(set(found) - set(ALLOWED)) == []
     # an entry whose recursion is gone is dropped from the list
     assert sorted(set(ALLOWED) - set(found)) == []
@@ -88,5 +138,22 @@ def flat(phi):
     stack = [phi]
     while stack:
         stack.extend(stack.pop().args)
+
+
+def ping(n):
+    return pong(n - 1) if n else 0
+
+
+def pong(n):
+    return ping(n)
+
+
+def shadowed(walk, ping):
+    return walk(ping)
 """
-    assert self_calls(source) == ["Tree.size", "outer.inner", "walk"]
+    assert on_cycles({"m.py": source}) == ["m.py:Tree.size", "m.py:outer.inner", "m.py:ping", "m.py:pong", "m.py:walk"]
+    # a cycle through an import of another module of the package
+    here = "from .b import there as elsewhere\n\n\ndef here():\n    return elsewhere()\n"
+    there = "from .a import here\n\n\ndef there():\n    return here()\n"
+    assert on_cycles({"a.py": here, "b.py": there}) == ["a.py:here", "b.py:there"]
+    assert on_cycles({"a.py": here, "b.py": there.replace("return here()", "return 0")}) == []
