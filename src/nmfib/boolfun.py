@@ -82,9 +82,10 @@ class BooleanFunction:
 
     @staticmethod
     def from_string(s: str, arity: int) -> "BooleanFunction":
-        rows = _rows(arity)
-        if len(s) != rows or set(s) - {"0", "1"}:
-            raise ValueError(f"table string {s!r} is not {rows} bits")
+        # 2^arity is computed only up to the bit length of len(s): past it,
+        # the rows outnumber the string whatever the arity
+        if _rows(min(arity, len(s).bit_length())) != len(s) or set(s) - {"0", "1"}:
+            raise ValueError(f"table string {s!r} is not 2^{arity} bits")
         bits = 0
         for i, ch in enumerate(s):
             if ch == "1":

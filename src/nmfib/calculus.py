@@ -244,33 +244,6 @@ def _matcher(pattern: Formula) -> Callable[[Formula, dict[str, Formula]], Option
     return scope["match"]  # type: ignore[return-value]
 
 
-def _universe(calc: HilbertCalculus, base: Sequence[Formula], depth_bound: int, cap: int) -> dict[Formula, int]:
-    """Instantiation pool: subformulas of the sequent plus a distinguished
-    fresh variable, closed up to the depth bound under the calculus
-    connectives, as the keys of a dict, in the order generated, each with
-    its level (the round that first made it, 0 for the base).  Each round
-    combines the members so far in (depth, text) order, and the cap
-    truncates breadth-first, deepest candidates dropped first, so enlarging
-    the bounds only appends; the last round's members are never sorted.  A
-    round that adds nothing ends the closure, whatever the depth bound."""
-    closure = subformula_closure(base)
-    members = dict.fromkeys([*closure, fresh_var(u for u in closure if type(u) is Var)], 0)
-    for level in range(1, depth_bound + 1):
-        if len(members) > cap:
-            break
-        grown = sorted(members, key=lambda f: (depth(f), text(f)))
-        for conn, arity in calc.signature.connectives:
-            for args in itertools.product(grown, repeat=arity):
-                u = app(conn, args)
-                if u not in members:
-                    members[u] = level
-                    if len(members) > cap:
-                        return members
-        if len(members) == len(grown):
-            break  # saturated: every later round combines the same members
-    return members
-
-
 @functools.cache
 def _member(phi: Formula) -> Callable[[Mapping[str, Formula], Mapping[Formula, int], int], Optional[Formula]]:
     """The level test of a schema's instances, compiled once per schema.
@@ -296,35 +269,59 @@ class _Universe:
     """The instantiation universe of one derive call, served by level.
 
     A formula's level is 0 in the base (the subformulas of the sequent and
-    the fresh variable), else one more than the largest level of its
-    arguments when its head is a calculus connective of that arity; the
-    members are the formulas of level at most the depth bound.  Only the
-    rounds below the bound are built (levels: member -> level), and the
-    size of the last one is counted: the products of the members so far,
-    less those already members.  A formula of a schema's shape outside the
-    built rounds is then a member exactly when its arguments are in them.
-    If the count passes the cap, the cap decides which members exist: the
-    universe is built whole, as _universe builds it, membership is looked
-    up, and top is -1.  At depth bound 0 the base is the whole universe,
-    and top is -1 too.  Rounds stop at the first that adds nothing, so a
-    depth bound past saturation costs no more than saturation."""
+    the fresh variable), else one more than its arguments' largest level
+    when its head is a calculus connective of that arity; the members have
+    level at most the depth bound.  Each round is counted (the products of
+    the members so far, plus the members that are no products), then built
+    unsorted into levels from the products with an argument in the round
+    before, as no other product is new.  members(top) builds the last round
+    on first need: a formula of a schema's shape outside levels is a member
+    exactly when its arguments are in it.  If a count passes the cap, that
+    round takes the new products of the members in (depth, text) order up
+    to cap + 1 members and is the last; top is then -1 and membership is
+    looked up, as at depth bound 0.  Rounds stop at the first that adds
+    nothing, whatever the depth bound."""
 
     def __init__(self, calc: HilbertCalculus, base: Sequence[Formula], depth_bound: int, cap: int):
-        self.build = functools.partial(_universe, calc, base, depth_bound, cap)
-        levels = _universe(calc, base, depth_bound - 1, cap)
-        n, arity = len(levels), calc.signature.arity
-        size = n + sum(n**k for _, k in calc.signature.connectives)
-        size -= sum(type(u) is App and arity(u.head) == len(u.args) for u in levels)
-        self.top = depth_bound if depth_bound and size <= cap else -1
-        self.levels = levels if self.top >= 0 or not depth_bound else self.build()
-        self.upto: dict[int, list[Formula]] = {}
+        closure = subformula_closure(base)
+        self.levels = levels = dict.fromkeys([*closure, fresh_var(u for u in closure if type(u) is Var)], 0)
+        self.connectives, arity = calc.signature.connectives, calc.signature.arity
+        opaque = sum(type(u) is not App or arity(u.head) != len(u.args) for u in levels)
+        # the members of the rounds before the newest, and the newest
+        self.old, self.new = [], list(levels)
+        self.top, self.upto = -1, {}
+        for level in range(1, depth_bound + 1):
+            n = len(levels)
+            if opaque + sum(n**k for _, k in self.connectives) > cap:
+                grown = sorted(levels, key=lambda f: (depth(f), text(f)))
+                levels.update(dict.fromkeys(itertools.islice(self.products((), grown), max(cap + 1 - n, 0)), level))
+                return
+            if level == depth_bound or not self.new:
+                self.top = depth_bound
+                return
+            built = list(self.products(self.old, self.new))
+            levels.update(dict.fromkeys(built, level))
+            self.old += self.new
+            self.new = built
+
+    def products(self, old: Sequence[Formula], new: Sequence[Formula]) -> Iterator[App]:
+        """The products with an argument in new and the others in old or new
+        (with old empty: every product of new, constants too) that are not
+        members yet, per connective in the order of itertools.product."""
+        both = [*old, *new]
+        for conn, k in self.connectives:
+            # i: the position of the first argument taken from new
+            tuples = [itertools.product(*[old] * i, new, *[both] * (k - 1 - i)) for i in range(k)]
+            for args in itertools.chain([()] if not k and not old else [], *tuples):
+                if (u := app(conn, args)) not in self.levels:
+                    yield u
 
     def members(self, bound: int) -> list[Formula]:
-        """The members of level at most bound, the whole universe built on
+        """The members of level at most bound, the last round built on
         first need."""
         if bound not in self.upto:
-            levels = self.levels
-            self.upto[bound] = list(self.build()) if bound == self.top else [u for u in levels if levels[u] <= bound]
+            last = self.products(self.old, self.new) if bound == self.top else ()
+            self.upto[bound] = [*(u for u, level in self.levels.items() if level <= bound), *last]
         return self.upto[bound]
 
     def extensions(self, phi: Formula, sigma: dict[str, Formula], bound: int) -> list[dict[str, Formula]]:
@@ -467,11 +464,13 @@ def derive(
       scan stops at the length its list had when the scan began, as the
       full scan stopped at the step count it began with; so the matches
       found, and their order, are those of a full scan.
-    * Membership by level (_Universe).  The universe's last round is
-      counted, not built, unless the cap binds; a conclusion is a member
-      when its level is at most the depth bound.  Free conclusion variables
-      take the schema's member instances, enumerated schema first, and
-      only those are put in (depth, text) order.
+    * Membership by level (_Universe).  Each round of the universe is
+      built once, from the products with an argument in the round before,
+      and the last only on first need; only a round the cap cuts is sorted.
+      A conclusion is a member when its level is at most the depth bound.
+      Free conclusion variables take the schema's member instances,
+      enumerated schema first, and only those are put in (depth, text)
+      order.
     * Last premise through the conclusion.  When the earlier premises bind
       an argument of a fully bound conclusion (c3: p, q / and(p,q);
       ao1: or(p,q), or(p,r) / or(p,and(q,r))), the last premise is not

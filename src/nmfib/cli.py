@@ -91,6 +91,8 @@ def cmd_parse(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    if args.arity < 0:
+        raise ValueError(f"arity (--arity) must not be negative (got {args.arity})")
     f = boolfun.BooleanFunction.from_string(args.table, args.arity)
     cls = boolfun.classify(f)
     post = boolfun.post_predicates(f) if args.arity >= 1 else None

@@ -112,9 +112,6 @@ class Signature:
     def disjoint_from(self, other: "Signature") -> bool:
         return not set(self.names()) & set(other.names())
 
-    def __le__(self, other: "Signature") -> bool:
-        return self._arities.items() <= other._arities.items()
-
 
 @dataclass(frozen=True, eq=False)
 class Var:

@@ -16,8 +16,8 @@ The compiled kernels derive runs on, calculus._matcher and
 syntax.instance_lookup, are checked here too: against _reference_match and
 _reference_instance, the recursive functions they replaced.  The universe
 derive serves by level (calculus._Universe and its compiled level test
-calculus._member) is checked against _universe, which builds it whole,
-and _universe against _reference_universe.
+calculus._member) is checked against _reference_universe, which builds
+it whole.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from nmfib.calculus import (
     _member,
     _trim,
     _Universe,
-    _universe,
     builtin_calculus,
     derive,
     load_calculus,
@@ -405,8 +404,8 @@ def test_derive_interns_no_rejected_conclusions():
     res = derive(calc, prems, goal, universe_depth=1)
     grown = len(syntax._pool) - before
     assert isinstance(res, NotFoundAtBound)
-    universe = _universe(calc, canon_sort(prems) + [goal], 1, cap=10000)
-    assert grown <= len(universe)
+    universe = _Universe(calc, canon_sort(prems) + [goal], 1, cap=10000)
+    assert grown <= len(universe.members(1))
 
 
 def test_derive_builds_no_last_round_it_does_not_read():
@@ -417,28 +416,35 @@ def test_derive_builds_no_last_round_it_does_not_read():
     sig = calc.signature
     prems = [parse("imp(lvl_a,lvl_b)", sig)]
     goal = parse("imp(lvl_b,lvl_c)", sig)
-    base = canon_sort(prems) + [goal]
-    last_round = len(_universe(calc, base, 2, cap=10000)) - len(_universe(calc, base, 1, cap=10000))
     before = len(syntax._pool)
     res = derive(calc, prems, goal, universe_depth=2)
     grown = len(syntax._pool) - before
     assert isinstance(res, NotFoundAtBound)
-    assert last_round == 1564 and grown < last_round / 2
+    # the universe is sized after the search, so its last round is not in
+    # the pool while derive runs
+    universe = _Universe(calc, canon_sort(prems) + [goal], 2, cap=10000)
+    last_round = len(universe.members(2)) - len(universe.levels)
+    assert universe.top == 2 and last_round == 1564 and grown < last_round / 2
 
 
 def test_universe_builds_no_text_for_its_last_round():
-    # only the members a round combines are sorted by (depth, text), so the
-    # formulas the last round builds get no text; fresh variable names, so
-    # that round builds most of its members
+    # a round below the bound is built unsorted, so its formulas get no
+    # text; a round the cap cuts combines the members so far in (depth,
+    # text) order, so only those are given text, not the formulas it
+    # builds; fresh variable names, so each round builds most of its members
     calc = builtin_calculus("B_iff")
     sig = calc.signature
     base = canon_sort([parse(t, sig) for t in ("iff(iff(uk_a,uk_a),iff(uk_b,uk_c))", "iff(uk_c,uk_b)")])
     base.append(parse("iff(iff(uk_a,uk_c),iff(uk_a,uk_b))", sig))
-    combined = set(_universe(calc, base, 1, cap=10000))
     existing = set(syntax._pool.values())
-    universe = _universe(calc, base, 2, cap=10000)
-    built = [u for u in universe if u not in existing]
-    assert len(universe) == 10001 and not combined & set(built) and len(built) > 9000
+    below = _Universe(calc, base, 2, cap=10**6)  # builds round 1 and counts round 2
+    combined = [u for u in below.levels if u not in existing]
+    assert below.top == 2 and len(combined) > 100 and all(u._key is None for u in combined)
+    existing = set(syntax._pool.values())
+    universe = _Universe(calc, base, 2, cap=10000)
+    built = [u for u in universe.levels if u not in existing]
+    assert universe.top < 0 and len(universe.levels) == 10001
+    assert not set(combined) & set(built) and len(built) > 9000
     assert all(u._key is None for u in built)
 
 
@@ -488,6 +494,12 @@ def test_compiled_kernels_agree_with_reference_on_every_bundled_schema():
             for sigma in ({}, dict.fromkeys(names[:1], targets[-1]), dict.fromkeys(names, targets[-1])):
                 _assert_kernels_agree(schema, target, sigma)
             hits += _matcher(schema)(target, {}) is not None
+    # the building kernel conclude uses, once no more lookups can miss:
+    # every variable, some or none bound, to formulas that may not exist yet
+    for schema in schemas:
+        names = [v.name for v in variables(schema)]
+        for sigma in ({}, dict.fromkeys(names[:1], targets[-1]), dict(zip(names, targets[::-7]))):
+            assert instance_lookup(schema, True)(sigma) is apply_substitution(sigma, schema), text(schema)
     assert len(schemas) > 40 and hits > len(schemas)
 
 
@@ -557,10 +569,10 @@ def test_generated_code_keeps_formula_names_out_of_its_identifiers():
 @pytest.mark.parametrize("cid", BUILTIN_IDS)
 def test_universe_by_level_agrees_with_the_built_universe(cid):
     # for seeded sequents at depths 0-2, with caps that bind and caps that
-    # do not:
-    # the level test, the keyed lookups (a connective with one argument
-    # given) and the schema-first enumeration of every rule schema must
-    # give exactly the members _universe builds
+    # do not: the members up to each level, the level test, the keyed
+    # lookups (a connective with one argument given) and the schema-first
+    # enumeration of every rule schema must give exactly the members
+    # _reference_universe builds
     calc = builtin_calculus(cid)
     schemas = canon_sort(phi for rule in calc.rules for phi in (*rule.premises, rule.conclusion))
     shapes = [app(c, tuple(var(f"x{i}") for i in range(k))) for c, k in calc.signature.connectives]
@@ -570,16 +582,18 @@ def test_universe_by_level_agrees_with_the_built_universe(cid):
         base = canon_sort(prems) + [goal]
         for depth in (0, 1, 2):
             # 5000 binds at depth 2 for the ternary xor3
-            size = len(_universe(calc, base, depth, cap=5000))
+            size = len(_reference_universe(calc, base, depth, cap=5000))
             for cap in sorted({min(size, 5000), size - 1, 30, 5}):
-                built = _universe(calc, base, depth, cap)
-                assert set(built) == set(_reference_universe(calc, base, depth, cap))
+                members = _reference_universe(calc, base, depth, cap)
+                built = set(members)
                 universe = _Universe(calc, base, depth, cap)
                 # the universe is built whole exactly when there is no
                 # unbuilt round, or the cap binds
                 assert (universe.top < 0) == (depth == 0 or size > cap)
                 paths.add(universe.top < 0)
-                members = list(built)
+                for bound in range(depth):
+                    assert set(universe.members(bound)) == set(_reference_universe(calc, base, bound, cap))
+                assert set(universe.members(depth)) == built
                 for phi in [*schemas, *shapes]:
                     names = [v.name for v in variables(phi)]
                     for _ in range(20):
