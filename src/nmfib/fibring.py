@@ -805,17 +805,32 @@ def _agrees_with_classical(
 
 def _random_sequent(rng: random.Random, sig: Signature, depth: int, n_vars: int):
     names = [f"p{i}" for i in range(1, n_vars + 1)]
+    conns = list(sig.connectives)
+    leaves = names + [c for c, k in conns if k == 0]
 
     def gen(d: int) -> Formula:
-        conns = [c for c in sig.connectives]
-        if d == 0 or (rng.random() < 0.3 and names):
-            choice = rng.choice(names + [c[0] for c in conns if c[1] == 0])
-            k = sig.arity(choice)
-            return app(choice, ()) if k == 0 else var(choice)
-        conn, k = rng.choice(conns)
-        if k == 0:
-            return app(conn, ())
-        return app(conn, tuple(gen(d - 1) for _ in range(k)))
+        """One seeded formula of depth at most d, its nodes drawn in pre-order."""
+        pending: list[tuple[str, int, list[Formula]]] = []  # open connectives, innermost last
+        while True:
+            if len(pending) == d or (rng.random() < 0.3 and names):
+                choice = rng.choice(leaves)
+                phi = app(choice, ()) if sig.arity(choice) == 0 else var(choice)
+            else:
+                conn, k = rng.choice(conns)
+                if k > 0:
+                    pending.append((conn, k, []))
+                    continue
+                phi = app(conn, ())
+            # hand phi to its parent, closing every connective it completes
+            while pending:
+                conn, k, args = pending[-1]
+                args.append(phi)
+                if len(args) < k:
+                    break
+                pending.pop()
+                phi = app(conn, tuple(args))
+            else:
+                return phi
 
     n_prem = rng.randrange(0, 3)
     return [gen(depth) for _ in range(n_prem)], gen(depth)

@@ -11,9 +11,8 @@ Value ids are opaque strings.  Products and powers (see matrixops) name
 their values by the printed tuples, so countermodels round-trip through
 report files unchanged.
 
-On a strict product L x R built by matrixops, entails stays the search over
-product values, in the same order, but it may stop early with a split Holds
-certificate (Marcelino & Caleiro's disjoint fibring of Nmatrices).  A
+On a strict product L x R built by matrixops, entails first asks a split
+Holds certificate (Marcelino & Caleiro's disjoint fibring of Nmatrices).  A
 product valuation is a pair of side valuations agreeing on designation, and
 side s reads only its own connectives' cells.  Write the side as B_s^k (k = 1
 for an unpowered side) and let R_s be the domain's sigma_s-headed formulas
@@ -24,9 +23,9 @@ its k coordinates, so side s can realize exactly the intersections of up to
 k sets, and those that hold the premises come from sets that each hold
 them.  Formulas outside R_s are free for side s.  So the sequent fails iff
 some such left set and right set, both without the conclusion, agree on
-R_left & R_right.  This is exact for any finite Nmatrix base; entails
-consults it once, at the search's first dead end, so the countermodel it
-prints is still the first one of the search order.
+R_left & R_right.  This is exact for any finite Nmatrix base, so entails
+asks it first and searches only a sequent it refutes: the search then ends
+in its first countermodel, the one it prints.
 """
 
 from __future__ import annotations
@@ -137,6 +136,9 @@ class Nmatrix:
                 raise MatrixError("degenerate matrix: no designated value")
             if self.designated == set(self.values):
                 raise MatrixError("degenerate matrix: no undesignated value")
+        for conn in interp:
+            if conn not in signature:
+                raise MatrixError(f"interpretation for {conn!r}, a connective the signature does not declare")
         rank = {v: i for i, v in enumerate(self.values)}
         table: dict[str, dict[Cell, Cell]] = {}
         for conn, arity in signature.connectives:
@@ -282,23 +284,21 @@ def _search(
     domain: Sequence[Formula],
     must_designate: Iterable[Formula],
     must_undesignate: Iterable[Formula],
-    extra_check=None,
+    instances: Sequence[tuple[Sequence[Formula], Formula]] = (),
     first: bool = False,
-    give_up=None,
 ) -> Iterator[dict[Formula, str]]:
-    """All assignments on the domain respecting cells and the designation
-    constraints, in canonical DFS order.  extra_check(phi, partial) may veto
-    a branch right after phi is assigned.
+    """All assignments on the domain respecting cells, the designation
+    constraints and the rule instances, in canonical DFS order.  An instance
+    (premises, conclusion) of domain formulas cuts a branch once the last of
+    them is assigned, if every premise is designated and the conclusion not.
 
     ``first`` is for callers that want only existence or the first
     solution.  On a strict product it skips a candidate equivalent to one
     already tried at the same node: same designation, the same left value
     if a left-signature formula of the domain reads the formula, and the
     same right value if a right-signature formula reads it.  Equivalent
-    candidates have identical subtrees, so the first solution is unchanged,
-    but later solutions are dropped; an extra_check on a product may then
-    read designation only.  ``give_up()`` is called once, at the walk's
-    first dead end; when it returns True the search ends there.
+    candidates have identical subtrees, since a cut reads designation only,
+    so the first solution is unchanged, but later solutions are dropped.
     """
     des = set(must_designate)
     undes = set(must_undesignate)
@@ -310,9 +310,13 @@ def _search(
             return
         pools.append(matrix.designated if phi in des else undesignated if phi in undes else None)
     keys = _pruning_keys(matrix, domain, order) if first else [None] * len(order)
+    position = {phi: i for i, phi in enumerate(order)} if instances else {}
+    cuts: dict[int, list] = {}  # level -> the instances whose last formula it assigns
+    for prem, concl in instances:
+        cuts.setdefault(max(position[f] for f in (*prem, concl)), []).append((prem, concl))
 
     assignment: dict[Formula, str] = {}
-    interp, values = matrix.interp, matrix.values
+    interp, values, designated = matrix.interp, matrix.values, matrix.designated
 
     def choices(i: int) -> Sequence[str]:
         phi = order[i]
@@ -326,22 +330,22 @@ def _search(
         return cell if keys[i] is None else _first_per_class(cell, keys[i])
 
     def take(i: int, v: str) -> bool:
-        phi = order[i]
-        assignment[phi] = v
-        return extra_check is None or extra_check(phi, assignment)
+        assignment[order[i]] = v
+        for prem, concl in cuts.get(i, ()):
+            if assignment[concl] not in designated and all(assignment[p] in designated for p in prem):
+                return False
+        return True
 
-    for _ in _walk(len(order), choices, take, give_up):
+    for _ in _walk(len(order), choices, take):
         yield dict(assignment)
 
 
-def _walk(n: int, choices, take, give_up=None) -> Iterator[None]:
+def _walk(n: int, choices, take) -> Iterator[None]:
     """Depth-first search over levels 0..n-1, as one loop over a level index
     and a candidate list per level (no recursion).  choices(i) lists level
     i's candidates once levels below i are taken; take(i, v) takes candidate
     v and returns False to cut the branch.  Yields once per complete branch.
-    Entries of levels above i may be stale when take(i, v) runs.
-    give_up() is called once, at the first dead end (a level out of
-    candidates, the first level aside); True ends the walk there."""
+    Entries of levels above i may be stale when take(i, v) runs."""
     if n == 0:
         yield
         return
@@ -353,10 +357,6 @@ def _walk(n: int, choices, take, give_up=None) -> Iterator[None]:
         if j == len(candidates[i]):
             if i == 0:
                 return
-            if give_up is not None:
-                if give_up():
-                    return
-                give_up = None
             i -= 1
             continue
         tried[i] = j + 1
@@ -441,17 +441,18 @@ Verdict = Union[Holds, Fails]
 def entails(matrix: Nmatrix, premises: Iterable[Formula], conclusion: Formula) -> Verdict:
     """Decide premises |- conclusion over the matrix.
 
-    Fails carries a partial valuation on the subformula closure of the
-    sequent that designates every premise and undesignates the conclusion.
+    On a recorded strict product the split certificate decides Holds; the
+    search runs only where it does not, and its first solution is the
+    countermodel.  Fails carries a partial valuation on the subformula
+    closure of the sequent that designates every premise and undesignates
+    the conclusion.
     """
     premises = canon_sort(premises)
     matrix.check_formulas(premises + [conclusion])
     domain = subformula_closure(premises + [conclusion])
-    search = _search(
-        matrix, domain, premises, [conclusion], first=True,
-        give_up=lambda: _split_holds(matrix, domain, premises, conclusion),
-    )
-    for assignment in search:
+    if _split_holds(matrix, domain, premises, conclusion):
+        return Holds()
+    for assignment in _search(matrix, domain, premises, [conclusion], first=True):
         return Fails(PartialValuation.of(matrix, assignment))
     return Holds()
 
@@ -475,8 +476,7 @@ def _split_holds(matrix: Nmatrix, domain: Sequence[Formula], premises: Sequence[
     for factor, names, region in regions:
         base, k = factor.power_of or (factor, 1)
         bit = {phi: 1 << i for i, phi in enumerate(region)}
-        need = sum(bit[phi] for phi in premises if phi in bit)
-        sets = {s for s in _designation_sets(base, names, region) if s & need == need}
+        sets = _designation_sets(base, names, region, premises)
         single, frontier = set(sets), set(sets)
         for _ in range(k - 1):
             frontier = {a & b for a in frontier for b in single} - sets
@@ -487,11 +487,12 @@ def _split_holds(matrix: Nmatrix, domain: Sequence[Formula], premises: Sequence[
     return not patterns[0] & patterns[1]
 
 
-def _designation_sets(base: Nmatrix, names: set, region: Sequence[Formula]) -> set[int]:
+def _designation_sets(base: Nmatrix, names: set, region: Sequence[Formula], premises: Sequence[Formula]) -> set[int]:
     """The sets of region formulas (bit i for region[i]) designated by the
-    base valuations of the region: formulas headed by a connective in names
-    stay inside the base's cells, every other member is free.  The region
-    lists each such formula's arguments before it."""
+    base valuations of the region that designate the premises in it:
+    formulas headed by a connective in names stay inside the base's cells,
+    every other member is free.  The region lists each such formula's
+    arguments before it."""
     read = {a for phi in region if isinstance(phi, App) and phi.head in names for a in phi.args}
     by_designation = {v: v in base.designated for v in base.values}
     value: dict[Formula, str] = {}
@@ -509,7 +510,7 @@ def _designation_sets(base: Nmatrix, names: set, region: Sequence[Formula]) -> s
     def take(i: int, v: str) -> bool:
         value[region[i]] = v
         masks[i + 1] = masks[i] | (1 << i) if by_designation[v] else masks[i]
-        return True
+        return by_designation[v] or region[i] not in premises
 
     return {masks[-1] for _ in _walk(len(region), choices, take)}
 
@@ -579,31 +580,11 @@ def filter_valuations_by_rules(
     exact = matrix.saturated or all(not r.premises for r in rules)
     universe = subformula_closure(premises + [conclusion])
 
-    instances = []
-    for rule in rules:
-        for prem, concl in _rule_instances(rule, universe):
-            instances.append((prem, concl))
+    instances = [inst for rule in rules for inst in _rule_instances(rule, universe)]
     domain = subformula_closure(
         premises + [conclusion] + [f for prem, concl in instances for f in (*prem, concl)]
     )
-
-    # index each instance at the point its last formula gets assigned
-    order = _assignment_order(domain, favored=canon_sort(set(premises) | {conclusion}))
-    position = {phi: i for i, phi in enumerate(order)}
-    by_last: dict[Formula, list] = {}
-    for prem, concl in instances:
-        last = max((*prem, concl), key=lambda f: position[f])
-        by_last.setdefault(last, []).append((prem, concl))
-
-    des = matrix.designated
-
-    def check(phi: Formula, assignment: dict[Formula, str]) -> bool:
-        for prem, concl in by_last.get(phi, ()):
-            if all(assignment[p] in des for p in prem) and assignment[concl] not in des:
-                return False
-        return True
-
-    for assignment in _search(matrix, domain, premises, [conclusion], extra_check=check, first=True):
+    for assignment in _search(matrix, domain, premises, [conclusion], instances, first=True):
         v = PartialValuation.of(matrix, assignment)
         return FilteredVerdict(Fails(v), "exact" if exact else "heuristic")
     return FilteredVerdict(Holds(), "exact" if exact else "heuristic")

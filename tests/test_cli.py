@@ -552,6 +552,19 @@ NEG_SIGNATURE = [{"name": "neg", "arity": 1}]
             {"connectives": [{"name": "f", "arity": 100000000000, "table": "01"}]},
             "table string '01' is not 2^100000000000 bits",
         ),
+        (
+            "system",
+            {
+                "signature": NEG_SIGNATURE,
+                "values": ["0", "1"],
+                "designated": ["1"],
+                "interpretation": {
+                    "neg": [{"args": ["0"], "out": ["1"]}, {"args": ["1"], "out": ["0"]}],
+                    "nge": [{"args": ["0"], "out": ["1"]}, {"args": ["1"], "out": ["0"]}],
+                },
+            },
+            "interpretation for 'nge', a connective the signature does not declare",
+        ),
     ],
 )
 def test_malformed_entry_is_named(tmp_path, monkeypatch, capsys, kind, data, message):

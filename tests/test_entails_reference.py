@@ -19,7 +19,13 @@ import pytest
 
 from nmfib import syntax
 from nmfib.calculus import builtin_calculus
-from nmfib.fibring import _CATALOG, catalog_fragments, fibred_semantics, three_valued_negation_matrix
+from nmfib.fibring import (
+    _CATALOG,
+    catalog_fragments,
+    fibred_semantics,
+    three_valued_negation_matrix,
+    truth_preserving_bot_matrix,
+)
 from nmfib.matrixops import power, strict_product
 from nmfib.semantics import (
     Fails,
@@ -163,7 +169,7 @@ def _assert_same(got, want, label):
 def _compare(key, matrix, cases):
     """Check every case the reference finishes within its budget; return
     the labels of the others.  The split certificate alone must be exact
-    too: entails consults it only at a dead end of its search."""
+    too: entails returns its Holds without searching."""
     skipped = []
     for premises, conclusion in cases:
         label = _label(key, premises, conclusion)
@@ -219,13 +225,27 @@ def test_entails_agrees_with_reference_on_three_valued_negation_products(partner
     assert {type(entails(m, premises, conclusion)) for premises, conclusion in cases} == {Holds, Fails}
 
 
-def test_rule_filter_agrees_with_reference_on_neg_bot():
+def _neg_bot_product():
     neg, bot = catalog_fragments("neg_bot")
-    m = strict_product(power(two_valued_matrix(neg), 2), two_valued_matrix(bot))
-    rules = builtin_calculus("neg_bot").rules
+    return strict_product(power(two_valued_matrix(neg), 2), two_valued_matrix(bot))
+
+
+# rule set -> the matrix it filters; neg_pair's rules have premises, the others are axioms
+FILTERED = {
+    "neg_bot": _neg_bot_product,
+    "imp_bot": lambda: truth_preserving_bot_matrix(catalog_fragments("imp_bot")[0]),
+    "neg_pair": lambda: strict_product(three_valued_negation_matrix("neg"), three_valued_negation_matrix("sim")),
+    "biimp_bot1": lambda: fibred_semantics(*catalog_fragments("biimp_bot1"), 2),
+}
+
+
+@pytest.mark.parametrize("rule_set", list(FILTERED))
+def test_rule_filter_agrees_with_reference(rule_set):
+    m = FILTERED[rule_set]()
+    rules = builtin_calculus(rule_set).rules
     verdicts = set()
-    for premises, conclusion in seeded_sequents(m, "filter/neg_bot", 30):
-        label = _label("filter:neg_bot", premises, conclusion)
+    for premises, conclusion in seeded_sequents(m, f"filter/{rule_set}", 30):
+        label = _label(f"filter:{rule_set}", premises, conclusion)
         got = filter_valuations_by_rules(m, rules, premises, conclusion).verdict
         want = reference_filter(m, rules, premises, conclusion)
         _assert_same(got, want, label)

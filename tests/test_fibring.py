@@ -43,7 +43,7 @@ from nmfib.fibring import (
 from nmfib.matrixops import matrices_equal, strict_product
 from nmfib.semantics import Fails, MatrixError, entails, load_system, two_valued_matrix
 from nmfib.boolfun import load_fragment
-from nmfib.syntax import parse, text
+from nmfib.syntax import app, parse, text, var
 from test_clone_reference import reference_closure
 
 SYSTEMS = Path(__file__).resolve().parents[1] / "src" / "nmfib" / "systems"
@@ -136,6 +136,40 @@ def test_classical_verdicts_sound_on_random_sequents():
                 text(phi),
             )
 
+
+
+def _reference_random_sequent(rng: random.Random, sig, depth: int, n_vars: int):
+    """fibring._random_sequent as it stood when it recursed on each argument."""
+    names = [f"p{i}" for i in range(1, n_vars + 1)]
+
+    def gen(d):
+        conns = [c for c in sig.connectives]
+        if d == 0 or (rng.random() < 0.3 and names):
+            choice = rng.choice(names + [c[0] for c in conns if c[1] == 0])
+            k = sig.arity(choice)
+            return app(choice, ()) if k == 0 else var(choice)
+        conn, k = rng.choice(conns)
+        if k == 0:
+            return app(conn, ())
+        return app(conn, tuple(gen(d - 1) for _ in range(k)))
+
+    n_prem = rng.randrange(0, 3)
+    return [gen(depth) for _ in range(n_prem)], gen(depth)
+
+
+@pytest.mark.parametrize("cid", ["two_conj", "biimp_bot", "xor3_two_bots", "two_neg", "coimp_top"])
+def test_random_sequent_draws_as_the_recursive_reference(cid):
+    # the same formulas from the same draws, in the same order: the RNG
+    # state after each sequent matches too
+    f1, f2 = catalog_fragments(cid)
+    sig = f1.signature.union(f2.signature)
+    for seed in range(40):
+        for depth, n_vars in ((0, 1), (1, 3), (3, 3), (6, 2)):
+            got_rng, want_rng = random.Random(seed), random.Random(seed)
+            for _ in range(5):
+                got = _random_sequent(got_rng, sig, depth=depth, n_vars=n_vars)
+                assert got == _reference_random_sequent(want_rng, sig, depth=depth, n_vars=n_vars)
+                assert got_rng.getstate() == want_rng.getstate()
 
 def test_countermodels_persist_at_higher_power():
     # a refutation at power n stays a refutation at power n+1

@@ -1,10 +1,12 @@
 import itertools
 import random
+import time
 
 import pytest
 
 from nmfib.boolfun import BooleanFunction, FragmentSpec, standard_fragment
 from nmfib.calculus import Rule, builtin_calculus
+from nmfib import semantics
 from nmfib.matrixops import power, strict_product
 from nmfib.semantics import (
     Fails,
@@ -120,6 +122,55 @@ def test_entails_on_deep_formulas():
     assert verdict.countermodel.check()
     assert len(verdict.countermodel.assignment) == 2002
 
+
+
+class Searched(Exception):
+    """Raised by a stand-in for the valuation search."""
+
+
+def test_entails_asks_the_split_certificate_before_searching(monkeypatch):
+    searches = []
+
+    def search(*args, **kwargs):
+        searches.append(args)
+        raise Searched
+
+    monkeypatch.setattr(semantics, "_search", search)
+    # W3 at n = 3: the certificate proves it, so nothing is searched
+    m = fibred_semantics(*catalog_fragments("two_disj"), 3)
+    premise = parse("or(p,or(q,r))", m.signature)
+    assert isinstance(entails(m, [premise], parse("or(or(r,q),p)", m.signature)), Holds)
+    assert searches == []
+    # a failing sequent is searched once, for its first countermodel
+    with pytest.raises(Searched):
+        entails(m, [parse("or(p,q)", m.signature)], parse("or2(p,q)", m.signature))
+    assert len(searches) == 1
+    # a matrix that is no recorded product has no certificate
+    p, q = var("p"), var("q")
+    assert not semantics._split_holds(M_OR, [p], [p], p)
+    assert not semantics._split_holds(M_OR, [p, q, app("or", (p, q))], [p], app("or", (p, q)))
+
+
+def _or_chain(formulas):
+    chain = formulas[-1]
+    for phi in reversed(formulas[:-1]):
+        chain = app("or", (phi, chain))
+    return chain
+
+
+def test_w9_holds_quickly():
+    # or(or2(p1,p1),or(...,or2(p9,p9))) |- the same chain reversed, in the
+    # or/or2 product at power 3: the certificate's intersection closure is
+    # quadratic in an exponential number of designation sets
+    m = fibred_semantics(*catalog_fragments("two_disj"), 3)
+    atoms = [app("or2", (var(f"p{i}"), var(f"p{i}"))) for i in range(1, 10)]
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        verdict = entails(m, [_or_chain(atoms)], _or_chain(atoms[::-1]))
+        best = min(best, time.perf_counter() - start)
+    assert isinstance(verdict, Holds)
+    assert best < 0.5
 
 def test_logical_equivalence():
     AND = standard_fragment("and", "and2", rename={"and2": "and"})
