@@ -36,7 +36,7 @@ from .syntax import (
     app,
     apply_substitution,
     parse,
-    subformulas,
+    postorder,
     var,
 )
 
@@ -469,7 +469,7 @@ def function_of_formula(phi: Formula, frag: FragmentSpec, k: int) -> BooleanFunc
     tables, arguments first."""
     full = (1 << (1 << k)) - 1
     tables = {var(f"p{j}"): _projection(k, j) for j in range(1, k + 1)}
-    for psi in subformulas(phi):
+    for psi in postorder((phi,)):
         if isinstance(psi, Var):
             if psi not in tables:
                 raise SignatureError(f"variable {psi.name} outside p1..p{k}")

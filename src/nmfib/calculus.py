@@ -33,6 +33,7 @@ from .syntax import (
     fresh_var,
     instance_lookup,
     parse,
+    postorder,
     subformula_closure,
     text,
     variables,
@@ -113,7 +114,7 @@ def renamed(calc: HilbertCalculus, mapping: Mapping[str, str]) -> HilbertCalculu
     conjunction called and2).  Each subformula of the rules is renamed once,
     its arguments before it."""
     ren: dict[Formula, Formula] = {}
-    for phi in subformula_closure(f for r in calc.rules for f in (*r.premises, r.conclusion)):
+    for phi in postorder(f for r in calc.rules for f in (*r.premises, r.conclusion)):
         ren[phi] = phi if isinstance(phi, Var) else app(mapping.get(phi.head, phi.head), [ren[a] for a in phi.args])
     sig = Signature.of([(mapping.get(n, n), k) for n, k in calc.signature.connectives])
     rules = [Rule.of(r.name, [ren[p] for p in r.premises], ren[r.conclusion]) for r in calc.rules]
@@ -647,17 +648,12 @@ def derive(
 
 def _trim(steps: Sequence[Step], index: Mapping[Formula, int], goal: Formula) -> Derivation:
     """Keep only the steps the goal actually depends on, renumbered."""
-    needed: set[int] = set()
-    todo = [index[goal]]
-    while todo:
-        i = todo.pop()
-        if i in needed:
-            continue
-        needed.add(i)
+
+    def premise_steps(i: int) -> tuple[int, ...]:
         j = steps[i].justification
-        if isinstance(j, RuleApp):
-            todo.extend(j.premise_steps)
-    keep = sorted(needed)
+        return j.premise_steps if isinstance(j, RuleApp) else ()
+
+    keep = sorted(postorder((index[goal],), premise_steps))
     renum = {old: new for new, old in enumerate(keep)}
     out = []
     for old in keep:

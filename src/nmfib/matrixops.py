@@ -6,6 +6,8 @@ lexicographic order of the printed names, so constructed systems serialize
 reproducibly.  Powers and strict products build no table: each cell is computed
 from the factors on its first read and kept on the matrix (see
 semantics.Nmatrix), so entailment pays only for the cells its search reads.
+The size cap bounds a construction's values, and a whole-table read of the
+result (writing it out, comparing it) its cells.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ import itertools
 import os
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .semantics import Cell, MatrixError, Nmatrix
-from .syntax import App, Formula, Translation, params, subformulas
+from .semantics import Cell, MatrixError, Nmatrix, SizeCapExceeded
+from .syntax import App, Formula, Translation, params, postorder
 
 __all__ = [
     "SizeCapExceeded",
@@ -29,10 +31,6 @@ __all__ = [
 ]
 
 DEFAULT_SIZE_CAP = 10000
-
-
-class SizeCapExceeded(MatrixError):
-    """A construction would exceed the configured value-count cap."""
 
 
 def size_cap(explicit: Optional[int] = None) -> int:
@@ -79,7 +77,7 @@ def power(matrix: Nmatrix, n: int, cap: Optional[int] = None) -> Nmatrix:
     designated = [name for name, t in decode.items() if all(v in matrix.designated for v in t)]
     compute = {conn: functools.partial(cell, cells) for conn, cells in matrix.interp.items()}
     label = f"{matrix.name}^{n}" if matrix.name else ""
-    result = Nmatrix.computed(matrix.signature, list(decode), designated, compute, label, matrix.saturated)
+    result = Nmatrix.computed(matrix.signature, list(decode), designated, compute, limit, label, matrix.saturated)
     result.power_of = (matrix, n)
     return result
 
@@ -119,7 +117,7 @@ def strict_product(m1: Nmatrix, m2: Nmatrix, cap: Optional[int] = None) -> Nmatr
     compute = {conn: functools.partial(cell, cells, coord) for coord, conn, cells in sides}
     label = f"{m1.name}*{m2.name}" if m1.name and m2.name else ""
     saturated = m1.saturated and m2.saturated
-    result = Nmatrix.computed(m1.signature.union(m2.signature), list(decode), designated, compute, label, saturated)
+    result = Nmatrix.computed(m1.signature.union(m2.signature), list(decode), designated, compute, limit, label, saturated)
     result.factors = (m1, m2, decode)
     return result
 
@@ -137,7 +135,7 @@ def translate_matrix(matrix: Nmatrix, t: Translation) -> Nmatrix:
     interp: dict[str, dict[tuple[str, ...], tuple[str, ...]]] = {}
     for conn, arity in t.source.connectives:
         body = t.body(conn)
-        order = subformulas(body)  # every argument before its parent
+        order = list(postorder((body,)))
         cells = {}
         for args in itertools.product(matrix.values, repeat=arity):
             value: dict[Formula, str] = dict(zip(params(arity), args))

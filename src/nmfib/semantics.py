@@ -47,6 +47,7 @@ from .syntax import (
     canon_sort,
     check_well_formed,
     is_subformula_closed,
+    postorder,
     subformula_closure,
     text,
     variables,
@@ -54,6 +55,7 @@ from .syntax import (
 
 __all__ = [
     "MatrixError",
+    "SizeCapExceeded",
     "Nmatrix",
     "PartialValuation",
     "enumerate_partial_valuations",
@@ -76,6 +78,11 @@ __all__ = [
 
 class MatrixError(ValueError):
     """Ill-formed Nmatrix, or a formula outside the matrix signature."""
+
+
+class SizeCapExceeded(MatrixError):
+    """A construction, or a whole-table read of its result, would exceed
+    the configured size cap."""
 
 
 Cell = tuple[str, ...]
@@ -109,7 +116,8 @@ class Nmatrix:
     powers and products are `computed`: interp holds the cells read so far,
     and a cell is computed on its first read.  Readers of the whole table
     (`deterministic`, `dump_system`, `matrixops.matrices_equal`,
-    `fibring.truth_preserving_bot_matrix`) take `full_interp()`.
+    `fibring.truth_preserving_bot_matrix`) take `full_interp()`, which
+    refuses a computed matrix with more cells than the cap on its values.
     """
 
     def __init__(
@@ -161,21 +169,27 @@ class Nmatrix:
         self.interp = table
         self.factors: Optional[tuple[Nmatrix, Nmatrix, dict[str, tuple[str, str]]]] = None
         self.power_of: Optional[tuple[Nmatrix, int]] = None
+        self.cap: Optional[int] = None  # a computed matrix's size cap
 
     @classmethod
     def computed(
         cls, signature: Signature, values: Sequence[str], designated: Iterable[str],
-        compute: Mapping[str, Callable[[Cell], Cell]], name: str = "", saturated: bool = False,
+        compute: Mapping[str, Callable[[Cell], Cell]], cap: int, name: str = "", saturated: bool = False,
     ) -> "Nmatrix":
-        """The matrix whose cell (conn, args) compute[conn](args) gives on first read.  Only the values
-        are checked: compute gives cells non-empty and in value order, and KeyError outside the table."""
+        """The matrix whose cell (conn, args) compute[conn](args) gives on first read; cap is the size cap
+        of its construction, which full_interp applies to its cells.
+        Only the values are checked: compute gives cells non-empty and in value order, and KeyError outside the table."""
         matrix = cls(Signature(()), values, designated, {}, name, saturated)  # checks the values only
         matrix.signature = signature
+        matrix.cap = cap
         matrix.interp = {conn: _Cells(compute[conn]) for conn in signature.names()}
         return matrix
 
     def full_interp(self) -> dict[str, dict[Cell, Cell]]:
-        """interp with every cell present, computing those not read yet."""
+        """interp with every cell present, computing those not read yet; refused past the size cap."""
+        count = sum(len(self.values) ** arity for _, arity in self.signature.connectives)
+        if self.cap is not None and count > self.cap:
+            raise SizeCapExceeded(f"{count} cells exceeds cap {self.cap}")
         for conn, arity in self.signature.connectives:
             if len(cells := self.interp[conn]) < len(self.values) ** arity:
                 for args in itertools.product(self.values, repeat=arity):
@@ -252,31 +266,11 @@ def _assignment_order(domain: Sequence[Formula], favored: Sequence[Formula]) -> 
     formulas placed early let the search prune whole branches at once.
     """
     domain_set = set(domain)
-    emitted: list[Formula] = []
-    seen: set[Formula] = set()
 
-    def below(phi: Formula) -> Iterator[Formula]:
-        if isinstance(phi, App):
-            return (a for a in sorted(phi.args, key=canon_key) if a in domain_set)
-        return iter(())
+    def below(phi: Formula) -> Sequence[Formula]:
+        return [a for a in sorted(phi.args, key=canon_key) if a in domain_set] if type(phi) is App else ()
 
-    # post-order walk with an explicit stack of (formula, its pending
-    # arguments): each formula is emitted right after its last argument
-    for root in itertools.chain((phi for phi in favored if phi in domain_set), canon_sort(domain)):
-        if root in seen:
-            continue
-        stack = [(root, below(root))]
-        while stack:
-            phi, pending = stack[-1]
-            for a in pending:
-                if a not in seen:
-                    stack.append((a, below(a)))
-                    break
-            else:
-                stack.pop()
-                seen.add(phi)
-                emitted.append(phi)
-    return emitted
+    return list(postorder(itertools.chain((phi for phi in favored if phi in domain_set), canon_sort(domain)), below))
 
 
 def _search(

@@ -11,11 +11,12 @@ immutable.  Formulas are hash-consed: var() and app() are the only
 constructors and return one shared object per formula, so formulas compare
 and hash by identity.
 
-No walk over a formula recurses: parse keeps its open applications on a
-stack, apply_substitution and the canonical key walk explicit stacks, and
-a bottom-up evaluation can follow subformulas(phi), whose canonical order
-puts every argument before its parent.  So formulas of any nesting parse,
-print and substitute.
+No walk over a formula recurses.  postorder is the one walk that visits
+arguments before their parents: the canonical key, the subformula closure,
+the compiled instance lookup and every bottom-up evaluation follow it.
+parse keeps its open applications on a stack, and apply_substitution its
+compounds being rebuilt.  So formulas of any nesting parse, print and
+substitute.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 __all__ = [
     "SignatureError",
@@ -35,6 +36,7 @@ __all__ = [
     "var",
     "app",
     "instance_lookup",
+    "postorder",
     "text",
     "depth",
     "subformulas",
@@ -159,6 +161,34 @@ def app(head: str, args: Sequence[Formula] = ()) -> App:
     return a  # type: ignore[return-value]
 
 
+def _arguments(phi: Formula) -> tuple[Formula, ...]:
+    return phi.args if type(phi) is App else ()
+
+
+def postorder(roots: Iterable[Hashable], children: Callable[[Any], Sequence[Hashable]] = _arguments) -> Iterator[Any]:
+    """Each node of the DAG reachable from the roots (formulas and their
+    arguments by default) once, right after its last child, roots and
+    children in the order given.  An explicit stack holds the nodes whose
+    children are being visited; a node without children gets no entry."""
+    seen = set()
+    stack = [(None, iter(roots))]  # the roots are the children of a node that is not yielded
+    while stack:
+        node, pending = stack[-1]
+        for child in pending:
+            if child not in seen:
+                grandchildren = children(child)
+                if grandchildren:
+                    stack.append((child, iter(grandchildren)))
+                    break
+                seen.add(child)
+                yield child
+        else:
+            stack.pop()
+            if stack:
+                seen.add(node)
+                yield node
+
+
 @functools.cache
 def instance_lookup(phi: Formula, build: bool = False) -> Callable[[Mapping[str, Formula]], Optional[Formula]]:
     """The function taking sigma to apply_substitution(sigma, phi) if that
@@ -170,25 +200,23 @@ def instance_lookup(phi: Formula, build: bool = False) -> Callable[[Mapping[str,
     does not exist yet may still be one the search would accept: derive
     decides membership in its universe by level, and builds only the
     instances it accepts.  The generated code makes one pool lookup per
-    node of phi, children first, with no test between them: a key holding
-    None is no key of the pool, so a missing argument makes every lookup
-    above it miss.  Its locals are numbered; names enter it only by repr."""
+    subformula of phi, arguments first, with no test between them: a key
+    holding None is no key of the pool, so a missing argument makes every
+    lookup above it miss.  Its locals are numbered in post-order; names
+    enter it only by repr."""
     scope: dict[str, object] = {"pool": _pool, "app": app}
-    lines = []  # each node's line, parents before children
-    stack = [(phi, 0)]
-    count = 1
-    while stack:
-        psi, n = stack.pop()
-        if isinstance(psi, Var):
+    local: dict[Formula, str] = {}
+    lines = []
+    for psi in postorder((phi,)):
+        n = len(local)
+        t = local[psi] = f"t{n}"
+        if type(psi) is Var:
             scope[f"v{n}"] = psi
-            lines.append(f"t{n} = sigma.get({psi.name!r}, v{n})")
+            lines.append(f"{t} = sigma.get({psi.name!r}, v{n})")
             continue
-        parts = range(count, count + len(psi.args))
-        count += len(psi.args)
-        node = f"{psi.head!r}, ({''.join(f't{m}, ' for m in parts)})"
-        lines.append(f"t{n} = app({node})" if build else f"t{n} = pool.get(({node}))")
-        stack.extend(zip(psi.args, parts))
-    exec("def instance(sigma):\n" + "".join(f"    {line}\n" for line in [*reversed(lines), "return t0"]), scope)
+        node = f"{psi.head!r}, ({''.join(f'{local[a]}, ' for a in psi.args)})"
+        lines.append(f"{t} = app({node})" if build else f"{t} = pool.get(({node}))")
+    exec("def instance(sigma):\n" + "".join(f"    {line}\n" for line in [*lines, f"return {t}"]), scope)
     return scope["instance"]  # type: ignore[return-value]
 
 
@@ -208,30 +236,20 @@ def canon_key(phi: Formula) -> tuple:
     order as it was; depth() reads it.
 
     Each formula's key is computed once, from its arguments' keys, and kept
-    on the formula; the walk uses an explicit stack, so no depth of nesting
-    exhausts the interpreter stack."""
+    on the formula; the walk enters only the formulas without a key."""
     key = phi._key
     if key is not None:
         return key
-    stack = [phi]
-    while stack:
-        psi = stack[-1]
-        if isinstance(psi, Var):
-            object.__setattr__(psi, "_key", (1, psi.name, False, 0))
-            stack.pop()
-            continue
-        missing = [a for a in psi.args if a._key is None]
-        if missing:
-            stack.extend(missing)
-            continue
-        stack.pop()
-        if psi._key is not None:
-            continue
-        keys = [a._key for a in psi.args]
-        label = f"{psi.head}({','.join(k[1] for k in keys)})" if keys else psi.head
-        height = 1 + max(k[3] for k in keys) if keys else 0
-        object.__setattr__(psi, "_key", (1 + sum(k[0] for k in keys), label, True, height))
-    return phi._key
+    for psi in postorder((phi,), lambda u: [a for a in u.args if a._key is None] if type(u) is App else ()):
+        if type(psi) is Var:
+            key = (1, psi.name, False, 0)
+        else:
+            keys = [a._key for a in psi.args]
+            label = f"{psi.head}({','.join(k[1] for k in keys)})" if keys else psi.head
+            height = 1 + max(k[3] for k in keys) if keys else 0
+            key = (1 + sum(k[0] for k in keys), label, True, height)
+        object.__setattr__(psi, "_key", key)
+    return key
 
 
 def canon_sort(phis: Iterable[Formula]) -> list[Formula]:
@@ -249,15 +267,7 @@ def variables(phi: Formula) -> list[Var]:
 
 def subformula_closure(phis: Iterable[Formula]) -> list[Formula]:
     """All subformulas of the given formulas, each walked once, sorted once."""
-    out: set[Formula] = set()
-    stack = list(phis)
-    while stack:
-        psi = stack.pop()
-        if psi not in out:
-            out.add(psi)
-            if isinstance(psi, App):
-                stack.extend(psi.args)
-    return canon_sort(out)
+    return sorted(postorder(phis), key=canon_key)
 
 
 def is_subformula_closed(phis: Iterable[Formula]) -> bool:
@@ -266,27 +276,28 @@ def is_subformula_closed(phis: Iterable[Formula]) -> bool:
 
 
 def check_well_formed(phi: Formula, sig: Signature) -> None:
+    """Raise SignatureError naming the first ill-formed subformula of phi
+    in pre-order: the outermost, then the leftmost."""
     arities = sig._arities
-    # each distinct subformula is checked once, however often it is shared
-    seen: set[Formula] = set()
-    stack = [phi]
-    while stack:
-        psi = stack.pop()
-        if isinstance(psi, Var) or psi in seen:
-            continue
-        seen.add(psi)
-        k = arities.get(psi.head)
+    first_bad: dict[Formula, App] = {}  # each subformula that has an ill-formed one: the first
+    for psi in postorder((phi,)):
+        if type(psi) is App and arities.get(psi.head) != len(psi.args):
+            first_bad[psi] = psi
+        elif first_bad and type(psi) is App:
+            bad = next((first_bad[a] for a in psi.args if a in first_bad), None)
+            if bad is not None:
+                first_bad[psi] = bad
+    if (bad := first_bad.get(phi)) is not None:
+        k = arities.get(bad.head)
         if k is None:
-            raise SignatureError(f"connective {psi.head!r} not in signature")
-        if k != len(psi.args):
-            raise SignatureError(f"connective {psi.head!r} has arity {k}, got {len(psi.args)} arguments")
-        stack.extend(reversed(psi.args))
+            raise SignatureError(f"connective {bad.head!r} not in signature")
+        raise SignatureError(f"connective {bad.head!r} has arity {k}, got {len(bad.args)} arguments")
 
 
 def fresh_var(taken: Iterable[Formula]) -> Var:
     """A variable, w or w1, w2, ..., whose name occurs nowhere in the given
     formulas."""
-    used = {v.name for phi in taken for v in variables(phi)}
+    used = {v.name for v in postorder(taken) if type(v) is Var}
     if "w" not in used:
         return var("w")
     i = 1

@@ -157,6 +157,35 @@ def test_cap_below_one_is_named(capsys, argv, cap):
     assert (code, out, err) == (1, "", f"error: cap (--cap) must be at least 1 (got {cap})\n")
 
 
+def test_whole_table_past_the_cap_is_refused_before_any_cell(capsys, tmp_path):
+    # 2^13 values pass the value cap; their 2^26 cells do not, and none is computed
+    out_file = tmp_path / "power.json"
+    start = time.perf_counter()
+    code, out, err = run(capsys, "power", "two_valued_or.json", "-n", "13", "-o", str(out_file))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (1, "", "error: 67108864 cells exceeds cap 10000\n")
+    assert not out_file.exists()
+    # the default cap refuses n = 7 (16,384 cells); a cap that covers them does not
+    assert run(capsys, "power", "two_valued_or.json", "-n", "7") == (1, "", "error: 16384 cells exceeds cap 10000\n")
+    code, out, err = run(capsys, "power", "two_valued_or.json", "-n", "7", "--cap", "16384", "-o", str(out_file))
+    assert (code, out, err) == (0, "", "") and len(json.loads(out_file.read_text())["values"]) == 128
+
+
+def test_w8_kdet_at_power_3(capsys):
+    # a guard on the product pruning keys: without them this search takes
+    # about 40 times as long, with the same output
+    start = time.perf_counter()
+    code, out, err = run(capsys, "kdet", "or.json", "or2.json", "--k", "2", "--power", "3", "--json")
+    assert time.perf_counter() - start < 5.0
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "gamma": ["or(p1,p2)", "or(p1,p3)", "or(p2,p3)"],
+        "phi": "or(or(or2(q,or(p1,q)),or2(q,or(p2,q))),or2(q,or(p3,q)))",
+        "power": 3,
+        "verdict": "VIOLATION FOUND",
+    }
+
+
 # and/and2 are both saturated, so no side is raised to the power; or/or2 are not
 @pytest.mark.parametrize(
     "argv",

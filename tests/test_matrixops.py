@@ -366,8 +366,12 @@ def test_fibred_semantics_matches_reference_on_the_catalog(example_id):
         _assert_same_matrix(fibred_semantics(f1, f2, n), reference_fibred_semantics(f1, f2, n))
 
 
-def test_fibred_or_or2_at_power_4_matches_reference():
+def test_fibred_or_or2_at_power_4_matches_reference(monkeypatch):
     f1, f2 = catalog_fragments("two_disj")
+    # 2 * 226^2 cells: past the default cap, which bounds a whole-table read
+    with pytest.raises(SizeCapExceeded, match=re.escape("102152 cells exceeds cap 10000")):
+        fibred_semantics(f1, f2, 4).full_interp()
+    monkeypatch.setenv("NMFIB_SIZE_CAP", "102152")
     built = fibred_semantics(f1, f2, 4)
     assert len(built.values) == 226
     _assert_same_matrix(built, reference_fibred_semantics(f1, f2, 4))

@@ -24,8 +24,9 @@ from nmfib.semantics import (
     respects_rule,
     two_valued_matrix,
 )
-from nmfib.syntax import App, Signature, app, parse, subformula_closure, var
+from nmfib.syntax import App, Formula, Signature, app, canon_key, canon_sort, parse, subformula_closure, var
 from nmfib.fibring import catalog_fragments, fibred_semantics, three_valued_negation_matrix
+from test_syntax import bundled_formulas, random_dag
 
 OR = standard_fragment("or")
 NEG = standard_fragment("neg")
@@ -367,3 +368,44 @@ def test_enumeration_on_products_lists_every_valuation(build, formulas):
     domain = subformula_closure([parse(t, m.signature) for t in formulas])
     listed = [v.assignment for v in enumerate_partial_valuations(m, domain)]
     assert len(set(listed)) == len(listed) == _brute_force_count(m, domain)
+
+
+def reference_assignment_order(domain, favored):
+    """_assignment_order's explicit-stack loop as it stood before postorder."""
+    domain_set = set(domain)
+    emitted: list[Formula] = []
+    seen: set[Formula] = set()
+
+    def below(phi):
+        if isinstance(phi, App):
+            return (a for a in sorted(phi.args, key=canon_key) if a in domain_set)
+        return iter(())
+
+    for root in itertools.chain((phi for phi in favored if phi in domain_set), canon_sort(domain)):
+        if root in seen:
+            continue
+        stack = [(root, below(root))]
+        while stack:
+            phi, pending = stack[-1]
+            for a in pending:
+                if a not in seen:
+                    stack.append((a, below(a)))
+                    break
+            else:
+                stack.pop()
+                seen.add(phi)
+                emitted.append(phi)
+    return emitted
+
+
+def test_assignment_order_agrees_with_reference_loop():
+    rng = random.Random(30)
+    bundled = bundled_formulas()
+    sets = [bundled[i : i + 3] for i in range(0, len(bundled), 3)]
+    sets += [random_dag(rng, f"a{trial}_", max_depth=60) for trial in range(60)]
+    for phis in sets:
+        domain = subformula_closure(phis)
+        for favored in ([], canon_sort(phis), canon_sort(rng.sample(domain, min(len(domain), 4)) + [var("outside")])):
+            # a domain missing some arguments: they are not walked
+            for part in (domain, [phi for phi in domain if rng.random() < 0.7]):
+                assert semantics._assignment_order(part, favored) == reference_assignment_order(part, favored)

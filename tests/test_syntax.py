@@ -5,15 +5,23 @@ parse, depth and apply_substitution as they stood before every formula
 walk became iterative: a recursive-descent parser, a depth walk with its
 own memo, and a recursive substitution.  The library's versions must agree
 with them wherever the references do not exhaust the interpreter stack.
+
+reference_postorder is the post-order walk written recursively, and
+reference_canon_key and reference_check_well_formed are the explicit-stack
+loops canon_key and check_well_formed ran before they followed postorder.
 """
 
 from __future__ import annotations
 
+import random
 from typing import Optional
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nmfib import bundled
+from nmfib.boolfun import DERIVED_TRANSLATIONS, _derivation_fragment
+from nmfib.calculus import load_calculus
 from nmfib.syntax import (
     _IDENT,
     App,
@@ -25,9 +33,14 @@ from nmfib.syntax import (
     Var,
     app,
     apply_substitution,
+    canon_key,
+    check_well_formed,
     depth,
+    fresh_var,
+    instance_lookup,
     parse,
     params,
+    postorder,
     subformula_closure,
     subformulas,
     text,
@@ -300,11 +313,192 @@ def test_substitution_takes_any_nesting():
 @settings(max_examples=150, deadline=None)
 @given(st.lists(formulas(), max_size=4))
 def test_subformula_closure_lists_arguments_before_parents(phis):
-    # bottom-up evaluations (boolfun.function_of_formula,
-    # matrixops.translate_matrix, calculus.renamed) rely on this order
     closure = subformula_closure(phis)
     place = {psi: i for i, psi in enumerate(closure)}
     assert len(place) == len(closure) and all(phi in place for phi in phis)
     for i, psi in enumerate(closure):
         if isinstance(psi, App):
             assert all(place[a] < i for a in psi.args), text(psi)
+
+
+# ---------------------------------------------------------------------------
+# postorder, and the walks that follow it, against references
+# ---------------------------------------------------------------------------
+
+def reference_postorder(roots, children=lambda phi: phi.args if isinstance(phi, App) else ()) -> list:
+    """Each node reachable from the roots once, right after its children,
+    by a recursive walk."""
+    out: list = []
+    seen: set = set()
+
+    def visit(node) -> None:
+        if node not in seen:
+            for child in children(node):
+                visit(child)
+            seen.add(node)
+            out.append(node)
+
+    for root in roots:
+        visit(root)
+    return out
+
+
+def reference_canon_key(phi: Formula, keys: dict[Formula, tuple]) -> tuple:
+    """canon_key's explicit-stack loop as it stood before postorder, with
+    the keys kept in keys instead of on the formulas."""
+    stack = [phi]
+    while stack:
+        psi = stack[-1]
+        if isinstance(psi, Var):
+            keys[psi] = (1, psi.name, False, 0)
+            stack.pop()
+            continue
+        missing = [a for a in psi.args if a not in keys]
+        if missing:
+            stack.extend(missing)
+            continue
+        stack.pop()
+        if psi in keys:
+            continue
+        arg_keys = [keys[a] for a in psi.args]
+        label = f"{psi.head}({','.join(k[1] for k in arg_keys)})" if arg_keys else psi.head
+        height = 1 + max(k[3] for k in arg_keys) if arg_keys else 0
+        keys[psi] = (1 + sum(k[0] for k in arg_keys), label, True, height)
+    return keys[phi]
+
+
+def reference_check_well_formed(phi: Formula, sig: Signature) -> None:
+    """check_well_formed's pre-order loop as it stood before postorder."""
+    arities = sig._arities
+    seen: set[Formula] = set()
+    stack = [phi]
+    while stack:
+        psi = stack.pop()
+        if isinstance(psi, Var) or psi in seen:
+            continue
+        seen.add(psi)
+        k = arities.get(psi.head)
+        if k is None:
+            raise SignatureError(f"connective {psi.head!r} not in signature")
+        if k != len(psi.args):
+            raise SignatureError(f"connective {psi.head!r} has arity {k}, got {len(psi.args)} arguments")
+        stack.extend(reversed(psi.args))
+
+
+def random_dag(rng: random.Random, prefix: str, connectives=(("or", 2), ("and", 2), ("neg", 1)), max_depth=500):
+    """Formulas sharing subformulas: each new compound takes its arguments
+    mostly from the last few built, so the nesting grows up to max_depth.
+    A compound whose printed text would pass about 10^5 characters is not
+    built.  The variable names start with prefix, so the compounds are new."""
+    pool: list[Formula] = [var(f"{prefix}{i}") for i in range(3)] + [app("bot", ())]
+    height = dict.fromkeys(pool, 0)
+    size = dict.fromkeys(pool, 1)  # of the formula as a tree
+    for _ in range(rng.randrange(1, 700)):
+        conn, k = rng.choice(connectives)
+        args = tuple(rng.choice(pool[-4:] if rng.random() < 0.8 else pool) for _ in range(k))
+        if args and max(height[a] for a in args) >= max_depth or sum(size[a] for a in args) > 10000:
+            continue
+        phi = app(conn, args)
+        height.setdefault(phi, 1 + max((height[a] for a in args), default=-1))
+        size.setdefault(phi, 1 + sum(size[a] for a in args))
+        pool.append(phi)
+    return [rng.choice(pool) for _ in range(rng.randrange(1, 4))] + [pool[-1]]
+
+
+def test_postorder_agrees_with_recursive_reference_on_shared_dags():
+    rng = random.Random(26)
+    for trial in range(60):
+        roots = random_dag(rng, f"w{trial}_")
+        assert list(postorder(roots)) == reference_postorder(roots)
+    # any hashable node: step numbers whose children are earlier steps
+    for _ in range(60):
+        n = rng.randrange(1, 300)
+        premises = {i: tuple(rng.sample(range(i), min(i, rng.randrange(3)))) for i in range(n)}
+        roots = [rng.randrange(n) for _ in range(3)]
+        assert list(postorder(roots, premises.__getitem__)) == reference_postorder(roots, premises.__getitem__)
+
+
+def _assert_each_once_after_children(order: list, children) -> None:
+    place = {node: i for i, node in enumerate(order)}
+    assert len(place) == len(order)
+    for i, node in enumerate(order):
+        assert all(place[c] < i for c in children(node))
+
+
+def test_postorder_takes_any_depth_and_width():
+    args = lambda phi: phi.args if isinstance(phi, App) else ()
+    chain = var("p")
+    for _ in range(100000):
+        chain = app("neg", (chain,))
+    order = list(postorder([chain]))
+    assert len(order) == 100001 and order[0] is var("p") and order[-1] is chain
+    _assert_each_once_after_children(order, args)
+    # 10,000 arguments: the variables x0, x2, ..., and neg(x1), neg(x3), ...
+    # with x1 ... x4999 each negated twice
+    wide = app("w", tuple(app("neg", (var(f"x{i % 5000}"),)) if i % 2 else var(f"x{i}") for i in range(10000)))
+    shared = app("neg", (var("x1"),))
+    order = list(postorder([shared, wide, shared]))
+    assert len(order) == 5000 + 2500 + 2500 + 1
+    assert order[:2] == [var("x1"), shared] and order[-1] is wide
+    _assert_each_once_after_children(order, args)
+
+
+def bundled_formulas() -> list[Formula]:
+    """The formulas of every bundled calculus and translation, and of the
+    derived connectives boolfun defines."""
+    out = []
+    for stem in bundled.stems("calculus"):
+        calc = load_calculus(bundled.read(f"{stem}.json", "calculus", builtin=True))
+        out += [f for r in calc.rules for f in (*r.premises, r.conclusion)]
+    frag_sig = _derivation_fragment().signature
+    for stem in bundled.stems("translation"):
+        mapping = bundled.read(f"{stem}.json", "translation", builtin=True)["mapping"]
+        out += [parse(src, Signature.of({"neg": 1, "imp": 2})) for src in mapping.values()]
+    out += [parse(src, frag_sig) for _, src in DERIVED_TRANSLATIONS.values()]
+    return out
+
+
+def test_canon_key_agrees_with_reference_loop():
+    rng = random.Random(27)
+    roots = bundled_formulas() + [phi for trial in range(40) for phi in random_dag(rng, f"k{trial}_")]
+    keys: dict[Formula, tuple] = {}
+    for phi in roots:
+        # the walk enters only formulas without a key: both fresh and
+        # partly keyed compounds are checked
+        assert canon_key(phi) == reference_canon_key(phi, keys), text(phi)
+    for phi in keys:
+        assert canon_key(phi) == keys[phi]
+
+
+def test_check_well_formed_names_what_the_reference_loop_names():
+    rng = random.Random(28)
+    wrong = (("or", 2), ("neg", 1), ("neg", 2), ("foo", 1), ("bar", 3), ("bot", 1))
+    roots = bundled_formulas() + [
+        phi for trial in range(200) for phi in random_dag(rng, f"c{trial}_", wrong if trial % 2 else wrong[:2], 30)
+    ]
+    for phi in [*roots, parse("foo(bar(p))", Signature.of({"foo": 1, "bar": 1}))]:
+        outcomes = []
+        for check in (check_well_formed, reference_check_well_formed):
+            try:
+                outcomes.append(check(phi, SIG))
+            except SignatureError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1], text(phi)
+    with pytest.raises(SignatureError, match="connective 'foo' not in signature"):
+        check_well_formed(parse("foo(bar(p))", Signature.of({"foo": 1, "bar": 1})), SIG)
+
+
+def test_instance_lookup_and_fresh_var_follow_the_walk():
+    rng = random.Random(29)
+    for trial in range(30):
+        for phi in random_dag(rng, f"i{trial}_", max_depth=40):
+            sigma = {f"i{trial}_0": app("neg", (var("q"),)), f"i{trial}_1": var(f"i{trial}_2")}
+            assert instance_lookup(phi, True)(sigma) is reference_substitution(sigma, phi)
+            assert instance_lookup(phi)(sigma) is reference_substitution(sigma, phi)
+            # an instance that does not exist yet is looked up as None
+            tau = {f"i{trial}_0": var(f"new{trial}")}
+            got = instance_lookup(phi)(tau)
+            grown = isinstance(phi, App) and var(f"i{trial}_0") in reference_postorder([phi])
+            assert got is (None if grown else reference_substitution(tau, phi))
+            names = {v.name for v in reference_postorder([phi]) if isinstance(v, Var)}
+            assert fresh_var([phi, var("w")]).name not in names | {"w"}
