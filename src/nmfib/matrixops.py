@@ -56,7 +56,8 @@ def power(matrix: Nmatrix, n: int, cap: Optional[int] = None) -> Nmatrix:
     The n-power is n-saturated and defines the same consequence relation as
     the matrix itself, which is what makes finite powers usable stand-ins
     for the idealized limit construction.  The result records (matrix, n)
-    as its `power_of`; n = 1 returns the matrix itself.  Each cell is
+    as its `power_of` and each value's n-tuple as its `coords`; n = 1
+    returns the matrix itself.  Each cell is
     computed from the matrix's cells on its first read, then kept.
     """
     if n < 1:
@@ -78,7 +79,7 @@ def power(matrix: Nmatrix, n: int, cap: Optional[int] = None) -> Nmatrix:
     compute = {conn: functools.partial(cell, cells) for conn, cells in matrix.interp.items()}
     label = f"{matrix.name}^{n}" if matrix.name else ""
     result = Nmatrix.computed(matrix.signature, list(decode), designated, compute, limit, label, matrix.saturated)
-    result.power_of = (matrix, n)
+    result.power_of, result.coords = (matrix, n), decode
     return result
 
 

@@ -26,10 +26,21 @@ some such left set and right set, both without the conclusion, agree on
 R_left & R_right.  This is exact for any finite Nmatrix base, so entails
 asks it first and searches only a sequent it refutes: the search then ends
 in its first countermodel, the one it prints.
+
+Looking for that first countermodel on a product, the search skips a
+candidate with the designation of one tried before it at the same node and,
+per side whose cells read the formula, its coordinate tuple up to a
+permutation of the side's power coordinates that fixes every value assigned
+so far.  Such permutations, one per side, form an automorphism of the
+product that fixes the prefix and keeps designation, all a cut reads; a
+side whose cells do not read the formula sees only its designation.  So the
+skipped subtree holds a countermodel iff the earlier one did, and it held
+none.  Enumeration skips nothing.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import weakref
 from dataclasses import dataclass
@@ -89,7 +100,7 @@ Cell = tuple[str, ...]
 
 
 class _Cells(dict):
-    """One connective's cells in a computed matrix, each kept from its first read."""
+    """Entries computed on first read, then kept: one connective's cells in a computed matrix, or a search's keys."""
 
     def __init__(self, compute: Callable[[Cell], Cell]):
         self.compute = compute
@@ -109,8 +120,9 @@ class Nmatrix:
 
     `factors` and `power_of` are set by matrixops on the matrices it builds:
     a strict product records (left, right, decode), decode taking each value
-    name to its (left, right) pair, and a power records (base, n).  Any other
-    matrix, including one derived from a product or power, has neither.
+    name to its (left, right) pair, and a power records (base, n), with
+    `coords` taking each value name to its n-tuple of base values.  Any other
+    matrix, including one derived from a product or power, has none.
 
     The constructor checks a whole table given from outside.  Matrixops'
     powers and products are `computed`: interp holds the cells read so far,
@@ -169,6 +181,7 @@ class Nmatrix:
         self.interp = table
         self.factors: Optional[tuple[Nmatrix, Nmatrix, dict[str, tuple[str, str]]]] = None
         self.power_of: Optional[tuple[Nmatrix, int]] = None
+        self.coords: Optional[dict[str, Cell]] = None
         self.cap: Optional[int] = None  # a computed matrix's size cap
 
     @classmethod
@@ -287,12 +300,9 @@ def _search(
     them is assigned, if every premise is designated and the conclusion not.
 
     ``first`` is for callers that want only existence or the first
-    solution.  On a strict product it skips a candidate equivalent to one
-    already tried at the same node: same designation, the same left value
-    if a left-signature formula of the domain reads the formula, and the
-    same right value if a right-signature formula reads it.  Equivalent
-    candidates have identical subtrees, since a cut reads designation only,
-    so the first solution is unchanged, but later solutions are dropped.
+    solution.  On a strict product it then skips a candidate with the key
+    (see _orbit) of one tried before it at the same node, which the module
+    docstring shows exact: the first solution is kept, later ones dropped.
     """
     des = set(must_designate)
     undes = set(must_undesignate)
@@ -303,7 +313,6 @@ def _search(
         if phi in des and phi in undes:
             return
         pools.append(matrix.designated if phi in des else undesignated if phi in undes else None)
-    keys = _pruning_keys(matrix, domain, order) if first else [None] * len(order)
     position = {phi: i for i, phi in enumerate(order)} if instances else {}
     cuts: dict[int, list] = {}  # level -> the instances whose last formula it assigns
     for prem, concl in instances:
@@ -311,6 +320,30 @@ def _search(
 
     assignment: dict[Formula, str] = {}
     interp, values, designated = matrix.interp, matrix.values, matrix.designated
+    seen: Optional[list] = None  # per level: None, its first candidate, or the keys of the candidates taken
+    if first and matrix.factors is not None:
+        factors, left_names = matrix.factors, set(matrix.factors[0].signature.names())
+        readers: dict[Formula, int] = {}  # formula -> the sides whose cells read it, bit 0 left and bit 1 right
+        for psi in domain:
+            for a in psi.args if isinstance(psi, App) else ():
+                readers[a] = readers.get(a, 0) | (1 if psi.head in left_names else 2)
+
+        def orbit(key: tuple) -> tuple:  # _orbit on the coordinate tuples of the value v in key (sides, parts, v)
+            sides, parts, v = key
+            ts = tuple(f.coords[s] if f.coords else (s,) for f, s in zip(factors, factors[2][v]))
+            return _orbit(sides, parts, ts, v in designated)
+
+        orbits = _ORBITS.setdefault(matrix, _Cells(orbit))  # orbit reads only the matrix's factors and designation
+        # per level, both sides' coordinates partitioned by the prefix before it; parts[:fresh + 1] are current
+        parts = [tuple((tuple(range(f.power_of[1] if f.power_of else 1)),) for f in factors[:2])] * len(order)
+        seen, fresh = [None] * len(order), 0
+
+    def key(i: int, v: str) -> tuple:
+        nonlocal fresh
+        for j in range(fresh, i):
+            parts[j + 1] = orbits[None, parts[j], assignment[order[j]]]
+        fresh = i
+        return orbits[readers.get(order[i], 0), parts[i], v]
 
     def choices(i: int) -> Sequence[str]:
         phi = order[i]
@@ -319,11 +352,22 @@ def _search(
         else:
             cell = values
         pool = pools[i]
-        if pool is not None:
-            cell = [v for v in cell if v in pool]
-        return cell if keys[i] is None else _first_per_class(cell, keys[i])
+        if seen is not None:
+            seen[i] = None
+        return cell if pool is None else [v for v in cell if v in pool]
 
     def take(i: int, v: str) -> bool:
+        nonlocal fresh
+        if seen is not None:
+            fresh = min(fresh, i)
+            if seen[i] is None:
+                seen[i] = v  # keys are computed from a node's second candidate on
+            else:
+                if type(seen[i]) is str:
+                    seen[i] = {key(i, seen[i])}
+                if (k := key(i, v)) in seen[i]:
+                    return False
+                seen[i].add(k)
         assignment[order[i]] = v
         for prem, concl in cuts.get(i, ()):
             if assignment[concl] not in designated and all(assignment[p] in designated for p in prem):
@@ -364,45 +408,20 @@ def _walk(n: int, choices, take) -> Iterator[None]:
         tried[i] = 0
 
 
-def _first_per_class(cell: Sequence[str], cls: Mapping[str, object]) -> list[str]:
-    """The values of the cell, in order, whose class cls[v] no earlier one has."""
-    seen: set = set()
-    out = []
-    for v in cell:
-        c = cls[v]
-        if c not in seen:
-            seen.add(c)
-            out.append(v)
-    return out
+@functools.lru_cache(maxsize=1 << 14)
+def _orbit(sides: Optional[int], parts: tuple, ts: tuple, designated: bool) -> tuple:
+    """For sides None: parts, a partition of each side's power coordinates, split by a value's coordinate tuples ts.
+    Else _search's key of the value: its designation and, per side in the bit set sides, the multiset of its
+    tuple's entries on each class of parts."""
+    if sides is None:  # split each class k by the entries of t on it
+        return tuple(
+            tuple(sorted({tuple(c for c in k if t[c] == t[d]) for k in p for d in k})) for p, t in zip(parts, ts)
+        )
+    orbits = (tuple(tuple(sorted(ts[i][c] for c in k)) for k in parts[i]) for i in (0, 1) if sides >> i & 1)
+    return (designated, *orbits)
 
 
-def _pruning_keys(matrix: Nmatrix, domain: Sequence[Formula], order: Sequence[Formula]) -> list:
-    """Per formula of the order, the map from each value to the class of
-    candidates with identical subtrees (see _search), or None where every
-    value is its own class or the matrix is no recorded strict product."""
-    if matrix.factors is None:
-        return [None] * len(order)
-    left, _, decode = matrix.factors
-    left_names = set(left.signature.names())
-    readers: dict[Formula, int] = {}
-    for psi in domain:
-        if isinstance(psi, App):
-            side = 1 if psi.head in left_names else 2
-            for a in psi.args:
-                readers[a] = readers.get(a, 0) | side
-    classes = _CLASSES.get(matrix)
-    if classes is None:
-        des = matrix.designated
-        classes = _CLASSES[matrix] = {
-            0: {v: v in des for v in matrix.values},
-            1: {v: (v in des, decode[v][0]) for v in matrix.values},
-            2: {v: (v in des, decode[v][1]) for v in matrix.values},
-        }
-    return [classes.get(readers.get(phi, 0)) for phi in order]
-
-
-# per recorded product: readers (0 none, 1 left, 2 right) -> value -> class
-_CLASSES: "weakref.WeakKeyDictionary[Nmatrix, dict]" = weakref.WeakKeyDictionary()
+_ORBITS: "weakref.WeakKeyDictionary[Nmatrix, _Cells]" = weakref.WeakKeyDictionary()  # per product: _search's keys
 
 
 def enumerate_partial_valuations(matrix: Nmatrix, gamma: Iterable[Formula]) -> Iterator[PartialValuation]:
@@ -499,7 +518,7 @@ def _designation_sets(base: Nmatrix, names: set, region: Sequence[Formula], prem
         else:
             cell = base.values
         # read by no cell of the region, only its designation matters
-        return cell if phi in read else _first_per_class(cell, by_designation)
+        return cell if phi in read or len(cell) < 2 else list({by_designation[v]: v for v in cell}.values())
 
     def take(i: int, v: str) -> bool:
         value[region[i]] = v

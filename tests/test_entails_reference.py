@@ -3,15 +3,27 @@
 reference_entails below is the entailment check as it stood before the
 search learned about strict products: a recursive generator walk over every
 candidate value of every formula, with no pruning and no split Holds
-certificate.  The new search may only skip branches that cannot finish, or
-stop when the certificate proves that no countermodel exists, so the two
-must return the same verdict and, for Fails, the same countermodel: the
-first solution of the same DFS order.  The reference only adds a node
-budget, so that a test can leave out a case it does not finish quickly.
+certificate.  Looking for a first solution on a product, the search skips a
+candidate equal, up to a permutation of a side's power coordinates fixing
+the values assigned so far, to one tried before it at the same node, which
+is exact only if that earlier candidate led to no solution; and it stops
+when the certificate proves that no countermodel exists.  So the two must
+return the same verdict and, for Fails, the same countermodel: the first
+solution of the same DFS order.  The reference only adds a node budget, so
+that a test can leave out a case it does not finish quickly.
+
+The product cases cover powers on both sides: mixed powers, a power of a
+3-valued matrix, a power of a strict product (its coordinates are product
+values, with commas in their names) and a power of a non-deterministic
+2-valued Nmatrix, whose cells mix designated and undesignated values, as
+only then does the designation part of the skip's key decide anything.
+They run through entails, rule filtering and the bounded saturation check.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import random
 from typing import Iterator, Optional
 
@@ -31,10 +43,13 @@ from nmfib.semantics import (
     Fails,
     Holds,
     Nmatrix,
+    NoCounterexampleFound,
     PartialValuation,
+    SaturationCounterexample,
     _assignment_order,
     _rule_instances,
     _split_holds,
+    bounded_saturation_check,
     entails,
     filter_valuations_by_rules,
     two_valued_matrix,
@@ -124,6 +139,23 @@ def reference_filter(matrix, rules, premises, conclusion):
     return Holds()
 
 
+def reference_saturation_check(matrix, k, gamma_pool, delta_pool):
+    """bounded_saturation_check on the reference search."""
+    gpool, dpool = canon_sort(gamma_pool), canon_sort(delta_pool)
+    gamma_subsets = [list(c) for size in range(len(gpool) + 1) for c in itertools.combinations(gpool, size)]
+    for size in range(2, min(k, len(dpool)) + 1):
+        for delta in itertools.combinations(dpool, size):
+            for gamma in gamma_subsets:
+                if any(f in gamma for f in delta):
+                    continue
+                if any(isinstance(reference_entails(matrix, gamma, f), Holds) for f in delta):
+                    continue
+                domain = subformula_closure(gamma + list(delta))
+                if next(_reference_search(matrix, domain, gamma, delta), None) is None:
+                    return SaturationCounterexample(tuple(gamma), tuple(delta))
+    return NoCounterexampleFound()
+
+
 # ---------------------------------------------------------------------------
 # Cases
 # ---------------------------------------------------------------------------
@@ -166,7 +198,7 @@ def _assert_same(got, want, label):
         assert got.countermodel.assignment == want.countermodel.assignment, label
 
 
-def _compare(key, matrix, cases):
+def _compare(key, matrix, cases, budget=REFERENCE_BUDGET):
     """Check every case the reference finishes within its budget; return
     the labels of the others.  The split certificate alone must be exact
     too: entails returns its Holds without searching."""
@@ -175,7 +207,7 @@ def _compare(key, matrix, cases):
         label = _label(key, premises, conclusion)
         got = entails(matrix, premises, conclusion)
         try:
-            want = reference_entails(matrix, premises, conclusion, budget=REFERENCE_BUDGET)
+            want = reference_entails(matrix, premises, conclusion, budget=budget)
         except TooSlow:
             skipped.append(label)
             continue
@@ -239,13 +271,11 @@ FILTERED = {
 }
 
 
-@pytest.mark.parametrize("rule_set", list(FILTERED))
-def test_rule_filter_agrees_with_reference(rule_set):
-    m = FILTERED[rule_set]()
+def _compare_filter(key: str, m: Nmatrix, rule_set: str) -> None:
     rules = builtin_calculus(rule_set).rules
     verdicts = set()
-    for premises, conclusion in seeded_sequents(m, f"filter/{rule_set}", 30):
-        label = _label(f"filter:{rule_set}", premises, conclusion)
+    for premises, conclusion in seeded_sequents(m, f"filter/{key}", 30):
+        label = _label(f"filter:{key}", premises, conclusion)
         got = filter_valuations_by_rules(m, rules, premises, conclusion).verdict
         want = reference_filter(m, rules, premises, conclusion)
         _assert_same(got, want, label)
@@ -253,8 +283,83 @@ def test_rule_filter_agrees_with_reference(rule_set):
     assert verdicts == {Holds, Fails}
 
 
+@pytest.mark.parametrize("rule_set", list(FILTERED))
+def test_rule_filter_agrees_with_reference(rule_set):
+    _compare_filter(rule_set, FILTERED[rule_set](), rule_set)
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_w3_holds(n):
     m = fibred_semantics(*catalog_fragments("two_disj"), n)
     premise = parse("or(p,or(q,r))", m.signature)
     assert isinstance(entails(m, [premise], parse("or(or(r,q),p)", m.signature)), Holds)
+
+
+def _powered(cid: str, left: int, right: int) -> Nmatrix:
+    f1, f2 = catalog_fragments(cid)
+    return strict_product(power(two_valued_matrix(f1), left), power(two_valued_matrix(f2), right))
+
+
+def power_of_product_side() -> Nmatrix:
+    """(m3_neg * bot)^2 * m3_sim: the left side's coordinates are values of a strict product."""
+    inner = strict_product(three_valued_negation_matrix("neg"), two_valued_matrix(catalog_fragments("neg_bot")[1]))
+    return strict_product(power(inner, 2), three_valued_negation_matrix("sim"))
+
+
+def _nd_neg_product() -> Nmatrix:
+    """nd^2 * bot^2, nd a 2-valued Nmatrix for neg whose cell at 0 holds both
+    values: a cell of the product then mixes designated and undesignated values."""
+    neg, bot = catalog_fragments("neg_bot")
+    nd = Nmatrix(neg.signature, ("0", "1"), ("1",), {"neg": {("0",): ("0", "1"), ("1",): ("0",)}})
+    return strict_product(power(nd, 2), power(two_valued_matrix(bot), 2))
+
+
+POWERED = {
+    f"{cid}_{a}x{b}": functools.partial(_powered, cid, a, b)
+    for cid in ("two_disj", "disj_neg", "imp_bot")
+    for a, b in ((3, 2), (2, 3), (4, 1))
+}
+POWERED["m3_neg^2*m3_sim"] = lambda: strict_product(
+    power(three_valued_negation_matrix("neg"), 2), three_valued_negation_matrix("sim")
+)
+POWERED["(m3_neg*bot)^2*m3_sim"] = power_of_product_side
+POWERED["nd^2*bot^2"] = _nd_neg_product
+
+
+# cases of the powered sides that the reference does not finish within
+# POWERED_BUDGET nodes, all holding; pinned, so any change in them shows
+POWERED_BUDGET = 50_000
+POWERED_SKIPS = {"two_disj_3x2": 1, "imp_bot_3x2": 3, "imp_bot_2x3": 3, "imp_bot_4x1": 1}
+
+
+@pytest.mark.parametrize("key", list(POWERED))
+def test_entails_agrees_with_reference_on_powered_sides(key):
+    m = POWERED[key]()
+    cases = seeded_sequents(m, f"powered/{key}", 24)
+    skipped = _compare(key, m, cases, POWERED_BUDGET)
+    assert len(skipped) == POWERED_SKIPS.get(key, 0), skipped
+    assert {type(entails(m, premises, conclusion)) for premises, conclusion in cases} == {Holds, Fails}
+
+
+# key -> the rule set and the matrix it filters
+FILTERED_POWERED = {
+    "neg_bot_3x2": ("neg_bot", lambda: _powered("neg_bot", 3, 2)),
+    "nd^2*bot^2": ("neg_bot", _nd_neg_product),
+    "biimp_bot1_3x2": ("biimp_bot1", lambda: _powered("biimp_bot1", 3, 2)),
+    "imp_bot_4x1": ("imp_bot", lambda: _powered("imp_bot", 4, 1)),
+}
+
+
+@pytest.mark.parametrize("key", list(FILTERED_POWERED))
+def test_rule_filter_agrees_with_reference_on_powered_sides(key):
+    rule_set, build = FILTERED_POWERED[key]
+    _compare_filter(key, build(), rule_set)
+
+
+@pytest.mark.parametrize("left, right", [(1, 1), (2, 1), (3, 2)])
+def test_saturation_check_agrees_with_reference_on_powered_sides(left, right):
+    m = _powered("two_disj", left, right)
+    gamma_pool = [parse(t, m.signature) for t in ("or(p,q)", "or2(q,r)")]
+    delta_pool = [parse(t, m.signature) for t in ("p", "q", "r", "or2(p,q)")]
+    got = bounded_saturation_check(m, 3, gamma_pool, delta_pool)
+    assert got == reference_saturation_check(m, 3, gamma_pool, delta_pool)

@@ -25,7 +25,8 @@ from nmfib.semantics import (
     two_valued_matrix,
 )
 from nmfib.syntax import App, Formula, Signature, app, canon_key, canon_sort, parse, subformula_closure, var
-from nmfib.fibring import catalog_fragments, fibred_semantics, three_valued_negation_matrix
+from nmfib.fibring import catalog_fragments, fibred_semantics, k_determinedness_probe, three_valued_negation_matrix
+from test_entails_reference import power_of_product_side
 from test_syntax import bundled_formulas, random_dag
 
 OR = standard_fragment("or")
@@ -356,13 +357,14 @@ def _brute_force_count(matrix, domain):
         ),
         (lambda: fibred_semantics(*catalog_fragments("disj_neg"), 2), ["or(p,neg(p))", "neg(q)"]),
         (lambda: fibred_semantics(*catalog_fragments("two_disj"), 4), ["or2(p,p)"]),
+        (power_of_product_side, ["neg(sim(p))"]),
     ],
-    ids=["m3_neg*m3_sim", "disj_neg^2", "two_disj^4"],
+    ids=["m3_neg*m3_sim", "disj_neg^2", "two_disj^4", "(m3_neg*bot)^2*m3_sim"],
 )
 def test_enumeration_on_products_lists_every_valuation(build, formulas):
-    # the first-solution pruning of the search must never reach the
-    # enumeration: on a product it would merge valuations that differ only
-    # in an unread coordinate
+    # the first-solution symmetry skip of the search must never reach the
+    # enumeration: on a product it would merge valuations equal up to a
+    # permutation of power coordinates, or differing only in an unread side
     m = build()
     assert m.factors is not None
     domain = subformula_closure([parse(t, m.signature) for t in formulas])
@@ -409,3 +411,46 @@ def test_assignment_order_agrees_with_reference_loop():
             # a domain missing some arguments: they are not walked
             for part in (domain, [phi for phi in domain if rng.random() < 0.7]):
                 assert semantics._assignment_order(part, favored) == reference_assignment_order(part, favored)
+
+
+def _count_nodes(monkeypatch) -> list[int]:
+    """Count the choices calls of every search from here on (the split
+    certificate's too): one per node of the search tree."""
+    count = [0]
+    walk = semantics._walk
+
+    def counted(n, choices, take):
+        def choices_counted(i):
+            count[0] += 1
+            return choices(i)
+
+        return walk(n, choices_counted, take)
+
+    monkeypatch.setattr(semantics, "_walk", counted)
+    return count
+
+
+def test_w8_at_power_3_visits_at_most_40000_nodes(monkeypatch):
+    # 35,876 nodes with the product search's symmetry skip, 532,442 without it
+    count = _count_nodes(monkeypatch)
+    probe = k_determinedness_probe(*catalog_fragments("two_disj"), 2, n=3)
+    assert probe and probe.power_used == 3
+    assert count[0] <= 40_000
+
+
+# the two heaviest refuted two_disj^4 entail shapes of the benchmark, with
+# their node bounds: 332 and 185 nodes with the symmetry skip, 3,812 and
+# 3,684 without it
+@pytest.mark.parametrize(
+    "premises, conclusion, bound",
+    [
+        (["or(or(or(q,p),or(q,q)),or(or2(p,q),or(q,r)))", "or(or2(q,p),or(r,r))"], "or2(q,q)", 400),
+        (["or2(p,or(or2(p,p),or(p,p)))"], "or2(or2(or2(p,p),or(p,p)),or2(p,or2(p,p)))", 250),
+    ],
+)
+def test_two_disj_at_power_4_search_node_bound(monkeypatch, premises, conclusion, bound):
+    m = fibred_semantics(*catalog_fragments("two_disj"), 4)
+    count = _count_nodes(monkeypatch)
+    verdict = entails(m, [parse(t, m.signature) for t in premises], parse(conclusion, m.signature))
+    assert isinstance(verdict, Fails) and verdict.countermodel.check()
+    assert count[0] <= bound
