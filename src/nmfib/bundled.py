@@ -23,6 +23,8 @@ FILE_KEYS = {
     "calculus": ("signature", "rules"),
     "translation": ("source", "mapping"),
 }
+# the top-level keys a kind of file may have
+_OPTIONAL_KEYS = {"system": ("saturated",)}
 
 _SYSTEMS = resources.files("nmfib") / "systems"
 
@@ -33,10 +35,11 @@ KEY_TYPES = {
     **dict.fromkeys(("args", "out", "premises"), list),
     **dict.fromkeys(("name", "table", "conclusion"), str),
     "arity": int,
+    "saturated": bool,
 }
 # the JSON type of each item of a list key, or of each value of an object key
 ITEM_TYPES = dict.fromkeys(("values", "designated", "args", "out", "premises", "mapping"), str)
-_TYPE_NAMES = {str: "a string", int: "an integer", list: "a list", dict: "an object"}
+_TYPE_NAMES = {str: "a string", int: "an integer", bool: "a boolean", list: "a list", dict: "an object"}
 
 
 def _missing(data: object, kind: str) -> list[str]:
@@ -60,8 +63,9 @@ def read(name: str, kind: str, builtin: bool = False) -> dict:
     missing = _missing(data, kind)
     if missing:
         raise ValueError(f"{name} is not a {kind} file (missing {', '.join(repr(k) for k in missing)})")
-    for key in FILE_KEYS[kind]:
-        _typed(data[key], key, name)
+    for key in (*FILE_KEYS[kind], *_OPTIONAL_KEYS.get(kind, ())):
+        if key in data:
+            _typed(data[key], key, name)
     return data
 
 
@@ -78,7 +82,7 @@ def stems(kind: str) -> tuple[str, ...]:
 
 def expect(value: object, kind: type, what: str) -> object:
     """``value`` when it is a ``kind``; otherwise a ValueError naming ``what``."""
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or kind is int and type(value) is bool:  # JSON's true is no integer
         raise ValueError(f"{what} is not {_TYPE_NAMES[kind]}: {value!r}")
     return value
 

@@ -30,6 +30,7 @@ from .syntax import (
     canon_sort,
     check_well_formed,
     depth,
+    depth_first,
     fresh_var,
     instance_lookup,
     parse,
@@ -492,9 +493,10 @@ def derive(
       compiled for it on first use.  Only universe members are built, so
       rejected candidates never enter the intern pool.
 
-    A rule may have any number of premises and a schema any depth: fire and
-    _Universe.extensions walk them on explicit stacks.  The universe stops
-    at its first round that adds nothing, whatever the depth bound.
+    A rule may have any number of premises and a schema any depth: fire's
+    premise join runs on syntax.depth_first, and _Universe.extensions walks
+    a schema on an explicit stack.  The universe stops at its first round
+    that adds nothing, whatever the depth bound.
 
     Premises and goal may mention connectives the calculus does not govern;
     such subformulas are opaque monoliths the rules can carry around but
@@ -538,8 +540,8 @@ def derive(
         return Derived(_trim(steps, index, goal))
 
     def fire(plan: tuple, mark: int) -> Iterator:
-        """(conclusion, substitution, premise steps) for each new match,
-        joined on a stack of candidate generators, one per premise position."""
+        """(conclusion, substitution, premise steps) for each new match, concluded from each path of
+        a depth-first walk whose levels are the partial matches of the scanned premise positions."""
         rule, leftover, scans, via, led = plan
         prems = rule.premises
         last = len(prems) - 1
@@ -610,19 +612,13 @@ def derive(
                     k = j
                     yield {name: formulas[k]}, (k,), k >= mark
 
-        if not scanned:
-            yield from conclude({}, (), False)
-            return
-        stack = [led_by_second() if led else candidates(0, {}, (), False)]
-        while stack:
-            for sigma, used, fresh in stack[-1]:
-                if len(stack) == scanned:
-                    yield from conclude(sigma, used, fresh)
-                else:
-                    stack.append(candidates(len(stack), sigma, used, fresh))
-                    break
-            else:
-                stack.pop()
+        empty = ({}, (), False)  # the match before the first premise position
+
+        def children(i: int, path: list) -> Iterator:
+            return led_by_second() if i == 0 and led else candidates(i, *(path[i - 1] if i else empty))
+
+        for path in depth_first(scanned, children):
+            yield from conclude(*(path[-1] if path else empty))
 
     marks: list[Optional[int]] = [None] * len(plans)
     while True:

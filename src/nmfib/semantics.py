@@ -27,15 +27,16 @@ R_left & R_right.  This is exact for any finite Nmatrix base, so entails
 asks it first and searches only a sequent it refutes: the search then ends
 in its first countermodel, the one it prints.
 
-Looking for that first countermodel on a product, the search skips a
-candidate with the designation of one tried before it at the same node and,
-per side whose cells read the formula, its coordinate tuple up to a
-permutation of the side's power coordinates that fixes every value assigned
-so far.  Such permutations, one per side, form an automorphism of the
-product that fixes the prefix and keeps designation, all a cut reads; a
-side whose cells do not read the formula sees only its designation.  So the
-skipped subtree holds a countermodel iff the earlier one did, and it held
-none.  Enumeration skips nothing.
+A node of the search lists its candidates already filtered: in the cell,
+the designation pool and past the rule cuts.  Looking for that first
+countermodel on a product, it lists one per key: the designation and, per
+side whose cells read the formula, the coordinate tuple up to a
+permutation of the side's power coordinates that fixes every value
+assigned so far.  Such permutations, one per side, form an automorphism of
+the product that fixes the prefix and keeps designation, all a cut reads;
+a side whose cells do not read the formula sees only the designation.  So
+a candidate left out has a countermodel below it iff the one listed with
+its key has.  Enumeration lists every candidate.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from .syntax import (
     canon_key,
     canon_sort,
     check_well_formed,
+    depth_first,
     is_subformula_closed,
     postorder,
     subformula_closure,
@@ -300,28 +302,28 @@ def _search(
     them is assigned, if every premise is designated and the conclusion not.
 
     ``first`` is for callers that want only existence or the first
-    solution.  On a strict product it then skips a candidate with the key
-    (see _orbit) of one tried before it at the same node, which the module
-    docstring shows exact: the first solution is kept, later ones dropped.
+    solution.  On a strict product a node then lists one candidate per key
+    (see _orbit), which the module docstring shows exact: the first
+    solution is kept, later ones dropped.
     """
     des = set(must_designate)
     undes = set(must_undesignate)
     order = _assignment_order(domain, favored=canon_sort(des | undes))
-    undesignated = matrix.undesignated
-    pools: list[Optional[frozenset[str]]] = []
-    for phi in order:
-        if phi in des and phi in undes:
-            return
-        pools.append(matrix.designated if phi in des else undesignated if phi in undes else None)
-    position = {phi: i for i, phi in enumerate(order)} if instances else {}
-    cuts: dict[int, list] = {}  # level -> the instances whose last formula it assigns
-    for prem, concl in instances:
-        cuts.setdefault(max(position[f] for f in (*prem, concl)), []).append((prem, concl))
-
-    assignment: dict[Formula, str] = {}
+    level = {phi: i for i, phi in enumerate(order)}
+    if any(phi in level for phi in des & undes):
+        return
     interp, values, designated = matrix.interp, matrix.values, matrix.designated
-    seen: Optional[list] = None  # per level: None, its first candidate, or the keys of the candidates taken
-    if first and matrix.factors is not None:
+    undesignated = matrix.undesignated
+    pools = [designated if phi in des else undesignated if phi in undes else None for phi in order]
+    # per level: the connective's cells and the levels of its arguments, or None for a variable
+    cells = [(interp[phi.head], [level[a] for a in phi.args]) if isinstance(phi, App) else None for phi in order]
+    cuts: dict[int, list] = {}  # level -> the instances, by levels, whose last formula it assigns
+    for prem, concl in instances:
+        ps, c = [level[p] for p in prem], level[concl]
+        cuts.setdefault(max([*ps, c]), []).append((ps, c))
+
+    keyed = first and matrix.factors is not None
+    if keyed:
         factors, left_names = matrix.factors, set(matrix.factors[0].signature.names())
         readers: dict[Formula, int] = {}  # formula -> the sides whose cells read it, bit 0 left and bit 1 right
         for psi in domain:
@@ -336,76 +338,40 @@ def _search(
         orbits = _ORBITS.setdefault(matrix, _Cells(orbit))  # orbit reads only the matrix's factors and designation
         # per level, both sides' coordinates partitioned by the prefix before it; parts[:fresh + 1] are current
         parts = [tuple((tuple(range(f.power_of[1] if f.power_of else 1)),) for f in factors[:2])] * len(order)
-        seen, fresh = [None] * len(order), 0
+        fresh = 0
 
-    def key(i: int, v: str) -> tuple:
+    def one_per_key(i: int, path: list, cell: Sequence[str]) -> Iterator[str]:
+        """The candidates of cell whose key no candidate before them has, keyed from the second one on."""
         nonlocal fresh
-        for j in range(fresh, i):
-            parts[j + 1] = orbits[None, parts[j], assignment[order[j]]]
-        fresh = i
-        return orbits[readers.get(order[i], 0), parts[i], v]
+        yield cell[0]
+        taken = set()
+        for v in cell:
+            for j in range(fresh, i):
+                parts[j + 1] = orbits[None, parts[j], path[j]]
+            fresh = i  # the levels below i take new values next
+            if (k := orbits[readers.get(order[i], 0), parts[i], v]) not in taken:
+                taken.add(k)
+                if v != cell[0]:
+                    yield v
 
-    def choices(i: int) -> Sequence[str]:
-        phi = order[i]
-        if isinstance(phi, App):
-            cell = interp[phi.head][tuple([assignment[a] for a in phi.args])]
+    def children(i: int, path: list) -> Sequence[str]:
+        if (table := cells[i]) is not None:
+            cell = table[0][tuple([path[j] for j in table[1]])]
         else:
             cell = values
-        pool = pools[i]
-        if seen is not None:
-            seen[i] = None
-        return cell if pool is None else [v for v in cell if v in pool]
+        if (pool := pools[i]) is not None:
+            cell = [v for v in cell if v in pool]
+        if i in cuts:
+            kept = []
+            for v in cell:
+                path[i] = v  # stale until the walk takes a candidate here
+                if not any(path[c] not in designated and all(path[p] in designated for p in ps) for ps, c in cuts[i]):
+                    kept.append(v)
+            cell = kept
+        return one_per_key(i, path, cell) if keyed and len(cell) > 1 else cell
 
-    def take(i: int, v: str) -> bool:
-        nonlocal fresh
-        if seen is not None:
-            fresh = min(fresh, i)
-            if seen[i] is None:
-                seen[i] = v  # keys are computed from a node's second candidate on
-            else:
-                if type(seen[i]) is str:
-                    seen[i] = {key(i, seen[i])}
-                if (k := key(i, v)) in seen[i]:
-                    return False
-                seen[i].add(k)
-        assignment[order[i]] = v
-        for prem, concl in cuts.get(i, ()):
-            if assignment[concl] not in designated and all(assignment[p] in designated for p in prem):
-                return False
-        return True
-
-    for _ in _walk(len(order), choices, take):
-        yield dict(assignment)
-
-
-def _walk(n: int, choices, take) -> Iterator[None]:
-    """Depth-first search over levels 0..n-1, as one loop over a level index
-    and a candidate list per level (no recursion).  choices(i) lists level
-    i's candidates once levels below i are taken; take(i, v) takes candidate
-    v and returns False to cut the branch.  Yields once per complete branch.
-    Entries of levels above i may be stale when take(i, v) runs."""
-    if n == 0:
-        yield
-        return
-    candidates = [choices(0)] + [()] * (n - 1)
-    tried = [0] * n
-    i = 0
-    while True:
-        j = tried[i]
-        if j == len(candidates[i]):
-            if i == 0:
-                return
-            i -= 1
-            continue
-        tried[i] = j + 1
-        if not take(i, candidates[i][j]):
-            continue
-        if i + 1 == n:
-            yield
-            continue
-        i += 1
-        candidates[i] = choices(i)
-        tried[i] = 0
+    for path in depth_first(len(order), children):
+        yield dict(zip(order, path))
 
 
 @functools.lru_cache(maxsize=1 << 14)
@@ -490,11 +456,13 @@ def _split_holds(matrix: Nmatrix, domain: Sequence[Formula], premises: Sequence[
         base, k = factor.power_of or (factor, 1)
         bit = {phi: 1 << i for i, phi in enumerate(region)}
         sets = _designation_sets(base, names, region, premises)
+        banned = bit.get(conclusion, 0)
+        if all(s & banned for s in sets):  # so does every intersection of them
+            return True
         single, frontier = set(sets), set(sets)
         for _ in range(k - 1):
             frontier = {a & b for a in frontier for b in single} - sets
             sets |= frontier
-        banned = bit.get(conclusion, 0)
         on_shared = [(bit[phi], 1 << j) for j, phi in enumerate(shared)]
         patterns.append({sum(out for b, out in on_shared if s & b) for s in sets if not s & banned})
     return not patterns[0] & patterns[1]
@@ -506,26 +474,22 @@ def _designation_sets(base: Nmatrix, names: set, region: Sequence[Formula], prem
     formulas headed by a connective in names stay inside the base's cells,
     every other member is free.  The region lists each such formula's
     arguments before it."""
+    level = {phi: i for i, phi in enumerate(region)}
     read = {a for phi in region if isinstance(phi, App) and phi.head in names for a in phi.args}
+    premises = set(premises)
     by_designation = {v: v in base.designated for v in base.values}
-    value: dict[Formula, str] = {}
-    masks = [0] * (len(region) + 1)
 
-    def choices(i: int) -> Sequence[str]:
+    def children(i: int, path: list) -> Sequence[str]:
         phi = region[i]
         if isinstance(phi, App) and phi.head in names:
-            cell = base.interp[phi.head][tuple([value[a] for a in phi.args])]
+            cell = base.interp[phi.head][tuple([path[level[a]] for a in phi.args])]
         else:
             cell = base.values
-        # read by no cell of the region, only its designation matters
-        return cell if phi in read or len(cell) < 2 else list({by_designation[v]: v for v in cell}.values())
+        if phi not in read and len(cell) > 1:  # read by no cell of the region, only its designation matters
+            cell = list({by_designation[v]: v for v in cell}.values())
+        return [v for v in cell if by_designation[v]] if phi in premises else cell
 
-    def take(i: int, v: str) -> bool:
-        value[region[i]] = v
-        masks[i + 1] = masks[i] | (1 << i) if by_designation[v] else masks[i]
-        return by_designation[v] or region[i] not in premises
-
-    return {masks[-1] for _ in _walk(len(region), choices, take)}
+    return {sum(1 << i for i, v in enumerate(path) if by_designation[v]) for path in depth_first(len(region), children)}
 
 
 def logically_equivalent(matrix: Nmatrix, gamma: Iterable[Formula], delta: Iterable[Formula]) -> bool:
@@ -670,7 +634,7 @@ def load_system(data: Mapping, allow_degenerate: bool = False) -> Nmatrix:
         data["designated"],
         interp,
         name=data.get("name", ""),
-        saturated=bool(data.get("saturated", False)),
+        saturated=data.get("saturated", False),
         allow_degenerate=allow_degenerate,
     )
 

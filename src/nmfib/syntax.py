@@ -16,7 +16,9 @@ arguments before their parents: the canonical key, the subformula closure,
 the compiled instance lookup and every bottom-up evaluation follow it.
 parse keeps its open applications on a stack, and apply_substitution its
 compounds being rebuilt.  So formulas of any nesting parse, print and
-substitute.
+substitute.  depth_first is the one depth-first search over paths, one
+node per level: the valuation search, the split certificate and derive's
+premise join run on it.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ __all__ = [
     "app",
     "instance_lookup",
     "postorder",
+    "depth_first",
     "text",
     "depth",
     "subformulas",
@@ -187,6 +190,32 @@ def postorder(roots: Iterable[Hashable], children: Callable[[Any], Sequence[Hash
             if stack:
                 seen.add(node)
                 yield node
+
+
+def depth_first(n: int, children: Callable[[int, list], Iterable[Any]]) -> Iterator[list]:
+    """Each path of n nodes, one per level, of the tree whose level-i nodes
+    below path[:i] are children(i, path), depth first and in the order
+    listed.  One list is the path throughout: children(i, path) reads
+    path[:i] (the entries from i on are stale, free to overwrite), and each
+    complete path is yielded as that list.  An explicit stack holds an
+    iterator over the children listed at each level of the current path."""
+    path: list = [None] * n
+    if not n:
+        yield path
+        return
+    pending: list = [iter(children(0, path))] + [None] * (n - 1)
+    i, last = 0, n - 1
+    while i >= 0:
+        for node in pending[i]:
+            path[i] = node
+            if i == last:
+                yield path
+            else:
+                i += 1
+                pending[i] = iter(children(i, path))
+                break
+        else:
+            i -= 1
 
 
 @functools.cache

@@ -609,6 +609,29 @@ NEG_SIGNATURE = [{"name": "neg", "arity": 1}]
             },
             "interpretation for 'nge', a connective the signature does not declare",
         ),
+        (
+            # JSON's true is no integer, though Python's bool is an int
+            "fragment",
+            {"connectives": [{"name": "neg", "arity": True, "table": "10"}]},
+            "the 'arity' of connective 'neg' is not an integer: True",
+        ),
+        (
+            "system",
+            {"signature": [{"name": "neg", "arity": False}], "values": ["0", "1"], "designated": ["1"], "interpretation": {}},
+            "the 'arity' of signature entry 'neg' is not an integer: False",
+        ),
+        (
+            # the string "false" would read as a true flag
+            "system",
+            {
+                "signature": NEG_SIGNATURE,
+                "values": ["0", "1"],
+                "designated": ["1"],
+                "interpretation": {"neg": [{"args": ["0"], "out": ["1"]}, {"args": ["1"], "out": ["0"]}]},
+                "saturated": "false",
+            },
+            "the 'saturated' of bad.json is not a boolean: 'false'",
+        ),
     ],
 )
 def test_malformed_entry_is_named(tmp_path, monkeypatch, capsys, kind, data, message):

@@ -6,7 +6,8 @@ walk became iterative: a recursive-descent parser, a depth walk with its
 own memo, and a recursive substitution.  The library's versions must agree
 with them wherever the references do not exhaust the interpreter stack.
 
-reference_postorder is the post-order walk written recursively, and
+reference_postorder and reference_depth_first are the post-order walk and
+the depth-first search over paths written recursively, and
 reference_canon_key and reference_check_well_formed are the explicit-stack
 loops canon_key and check_well_formed ran before they followed postorder.
 """
@@ -36,6 +37,7 @@ from nmfib.syntax import (
     canon_key,
     check_well_formed,
     depth,
+    depth_first,
     fresh_var,
     instance_lookup,
     parse,
@@ -441,6 +443,58 @@ def test_postorder_takes_any_depth_and_width():
     assert len(order) == 5000 + 2500 + 2500 + 1
     assert order[:2] == [var("x1"), shared] and order[-1] is wide
     _assert_each_once_after_children(order, args)
+
+
+def reference_depth_first(n: int, children) -> list[tuple]:
+    """Each path of n nodes, by a recursive walk that hands children a
+    fresh list of the path above the level."""
+    out: list[tuple] = []
+
+    def visit(path: list) -> None:
+        if len(path) == n:
+            out.append(tuple(path))
+            return
+        for node in children(len(path), path):
+            visit(path + [node])
+
+    visit([])
+    return out
+
+
+def _seeded_tree(seed: int, n: int):
+    """children(i, path) for a tree of n levels whose fan-out, 0 to 3, and
+    nodes depend on the seed and the path above the level; the calls are
+    recorded, and every other level lists its children through a generator."""
+    calls: list[tuple] = []
+
+    def children(i: int, path: list):
+        above = tuple(path[:i])
+        calls.append((i, above))
+        rng = random.Random(hash((seed, above)))
+        nodes = [rng.randrange(10) for _ in range(rng.randrange(4))]
+        return nodes if i % 2 else iter(nodes)
+
+    return children, calls
+
+
+def test_depth_first_agrees_with_recursive_reference_on_seeded_trees():
+    for seed in range(200):
+        n = seed % 7
+        children, calls = _seeded_tree(seed, n)
+        got = [tuple(path) for path in depth_first(n, children)]
+        walked = list(calls)
+        calls.clear()
+        assert got == reference_depth_first(n, children)
+        # the same children calls, in the same order: one per node above the last level
+        assert walked == calls
+    # no level: one empty path, and children is never called
+    children, calls = _seeded_tree(0, 0)
+    assert list(depth_first(0, children)) == [[]] and calls == []
+
+
+def test_depth_first_takes_any_depth():
+    paths = [list(path) for path in depth_first(10000, lambda i, path: [i] if i == 0 else [path[i - 1] + 1])]
+    assert paths == [list(range(10000))]
 
 
 def bundled_formulas() -> list[Formula]:
