@@ -592,6 +592,8 @@ def load_fragment(data: Mapping) -> FragmentSpec:
     out = {}
     for c in conns:
         name, arity, table = bundled.fields(c, "connective", "name", "arity", "table")
+        if name in out:
+            raise ValueError(f"connective {name!r} is declared twice")
         out[name] = BooleanFunction.from_string(table, int(arity))
     if not out:
         raise ValueError("fragment file declares no connectives")

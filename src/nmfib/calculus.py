@@ -15,7 +15,6 @@ import heapq
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from . import bundled
@@ -83,7 +82,11 @@ class HilbertCalculus:
     @staticmethod
     def of(signature: Signature, rules: Iterable[Rule]) -> "HilbertCalculus":
         rules = tuple(rules)
+        names: set[str] = set()
         for r in rules:
+            if r.name in names:  # a derivation step names its rule
+                raise SignatureError(f"two rules are named {r.name!r}")
+            names.add(r.name)
             for phi in (*r.premises, r.conclusion):
                 check_well_formed(phi, signature)
         return HilbertCalculus(signature, rules)
@@ -386,44 +389,43 @@ def _arguments(phi: App) -> tuple[tuple[int, frozenset[str], Callable], ...]:
     return tuple((j, frozenset(_names(a)), instance_lookup(a)) for j, a in enumerate(phi.args))
 
 
-@functools.cache
-def _join_plan(rule: Rule) -> tuple[bool, tuple[Optional[int], ...], Optional[int], bool]:
-    """How a rule's matches are found: (leftover, scans, via, led).
+def _source(rule: Rule, i: int, bound: set[str]) -> tuple[str, Optional[int]]:
+    """Where premise i's steps are found once the names in bound are bound.
 
-    leftover: the conclusion has variables no premise binds, whose
-    instances are taken from the universe.  via, when not None, is a
-    conclusion argument the earlier premises bind: the last premise is then
-    found through the universe members with that argument.  This needs no
-    leftover, and a last premise whose variables all occur in the earlier
-    premises or the conclusion, so that each member fixes its instance.
-    scans gives, per scanned premise, the first argument whose variables the
-    earlier premises all bind: the premise then reads the steps indexed
-    under that argument instead of every step with its head; None for the
-    first premise, a variable, a premise with no such argument and a last
-    premise found through the conclusion.  led: the two premises are a
-    variable and a compound with it as an argument, and the first premise's
-    steps are led by the second's."""
-    prems = rule.premises
-    before = [set()]
-    for pattern in prems:
-        before.append(before[-1] | _names(pattern))
-    concl = rule.conclusion
-    leftover = not _names(concl) <= before[-1]
-    via = None
-    if len(prems) >= 2 and isinstance(concl, App) and not leftover:
-        bound = before[-2]
-        if _names(prems[-1]) <= bound | _names(concl):
-            via = next((j for j, a in enumerate(concl.args) if _names(a) <= bound), None)
-    scanned = len(prems) if via is None else len(prems) - 1
-    scans = tuple(
-        next((j for j, a in enumerate(pattern.args) if _names(a) <= before[i]), None)
-        if 0 < i < scanned and isinstance(pattern, App)
-        else None
-        for i, pattern in enumerate(prems)
-    )
-    led = scanned == len(prems) == 2 and isinstance(prems[0], Var) and isinstance(prems[1], App)
-    led = led and prems[0] in prems[1].args
-    return leftover, scans, via, led
+    ("lookup", None): bound covers the premise, whose instance is looked
+    up.  ("conclusion", j): the premise is the last of the rule's names to
+    bind, the conclusion has none of its own and bound covers its argument
+    j; each universe member instance of the conclusion then fixes the
+    premise's instance, which is looked up.  ("argument", j): the steps
+    indexed under the premise's first argument j that bound covers.
+    ("head", None): every step with the premise's head, or every step for a
+    variable."""
+    pattern, concl = rule.premises[i], rule.conclusion
+    names = _names(pattern)
+    if names <= bound:
+        return "lookup", None
+    every = set().union(*map(_names, rule.premises))
+    if isinstance(concl, App) and _names(concl) <= every <= bound | names and names <= bound | _names(concl):
+        j = next((j for j, a in enumerate(concl.args) if _names(a) <= bound), None)
+        if j is not None:
+            return "conclusion", j
+    j = next((j for j, a in enumerate(getattr(pattern, "args", ())) if _names(a) <= bound), None)
+    return ("head", None) if j is None else ("argument", j)
+
+
+@functools.cache
+def _sources(rule: Rule) -> tuple[bool, tuple[tuple[str, Optional[int]], ...], Optional[str]]:
+    """(leftover, forward, lead) of a rule.  leftover: the conclusion has
+    names no premise binds, whose instances are taken from the universe.
+    forward: each premise's _source once the premises before it are bound.
+    lead: for two premises, the kind of the first one's source once the
+    second is bound, when that is a lookup or the conclusion; else None."""
+    bound, forward = set(), []
+    for i, pattern in enumerate(rule.premises):
+        forward.append(_source(rule, i, bound))
+        bound |= _names(pattern)
+    lead = _source(rule, 0, _names(rule.premises[1]))[0] if len(rule.premises) == 2 else None
+    return not _names(rule.conclusion) <= bound, tuple(forward), lead if lead in ("lookup", "conclusion") else None
 
 
 def derive(
@@ -473,21 +475,19 @@ def derive(
       Free conclusion variables take the schema's member instances,
       enumerated schema first, and only those are put in (depth, text)
       order.
-    * Last premise through the conclusion.  When the earlier premises bind
-      an argument of a fully bound conclusion (c3: p, q / and(p,q);
-      ao1: or(p,q), or(p,r) / or(p,and(q,r))), the last premise is not
-      scanned: each member instance of the conclusion fixes the last
-      premise's instance, which is looked up among the steps.  A hit counts
-      only if the scan would have reached it (recorded before the scan
-      began, and from the mark on unless an earlier premise is new), and
-      the hits are taken in step order, so the matches are again those of
-      the scan; pairs whose conclusion lies outside the universe are never
-      formed.
-    * First premise led by the second.  When a rule's two premises are a
-      variable and a compound with it as an argument (n3: p, neg(p) / q),
-      a step below the mark starts a new match only if a second-premise
-      step from the mark on binds the variable to it; only those are
-      visited there, in step order, as the scan would reach them.
+    * Partner sources (_source).  A premise whose names the earlier
+      premises bind is looked up (neg(p) in n3: p, neg(p) / q).  When they
+      bind an argument of a conclusion with no names of its own, and the
+      premise binds the rest (c3: p, q / and(p,q)), each member instance of
+      the conclusion fixes the premise's instance, which is looked up, so
+      pairs whose conclusion lies outside the universe are never formed.
+      Hits are taken in step order where the scan would reach them.  The
+      first of two premises is also led by the second, where the second
+      fixes it so: below the mark, only the steps that second-premise steps
+      from the mark on name are visited, off a heap in step order that
+      takes the second-premise steps recorded during the firing too.  A
+      lead through the conclusion enumerates members, so it is taken only
+      when fewer second-premise steps are new than first-premise ones old.
     * Compiled schemas.  Each schema is matched (_matcher), looked up
       (syntax.instance_lookup) and tested for membership (_member) by code
       compiled for it on first use.  Only universe members are built, so
@@ -506,20 +506,21 @@ def derive(
     depth_bound = max(universe_depth, 0)  # a negative depth bound, like 0, leaves the base alone
     universe = _Universe(calc, premises + [goal], depth_bound, cap=max(step_cap, 2000))
     levels, top = universe.levels, universe.top
-    plans = [(rule, *_join_plan(rule)) for rule in calc.rules]
+    plans = [(rule, *_sources(rule)) for rule in calc.rules]
     # per head, the argument positions premises read steps by
     read_by_arg: dict[str, set[int]] = {}
-    for rule, _, scans, _, _ in plans:
-        for pattern, pos in zip(rule.premises, scans):
-            if pos is not None:
+    for rule, _, forward, _ in plans:
+        for pattern, (kind, pos) in zip(rule.premises, forward):
+            if kind == "argument":
                 read_by_arg.setdefault(pattern.head, set()).add(pos)
 
     steps: list[Step] = []
     formulas: list[Formula] = []
     index: dict[Formula, int] = {}
-    # step numbers in step order, by head symbol and by (head, argument
-    # position, argument) for the positions in read_by_arg
-    by_head: dict[str, list[int]] = {}
+    # step numbers in step order: every step under None, each compound also
+    # by its head symbol and by (head, argument position, argument) for the
+    # positions in read_by_arg
+    by_head: dict[Optional[str], list[int]] = {None: []}
     by_arg: dict[tuple[str, int, Formula], list[int]] = {}
 
     def record(phi: Formula, just: Justification) -> None:
@@ -527,6 +528,7 @@ def derive(
         index[phi] = k
         steps.append(Step(phi, just))
         formulas.append(phi)
+        by_head[None].append(k)
         if isinstance(phi, App):
             by_head.setdefault(phi.head, []).append(k)
             for pos in read_by_arg.get(phi.head, ()):
@@ -541,84 +543,82 @@ def derive(
 
     def fire(plan: tuple, mark: int) -> Iterator:
         """(conclusion, substitution, premise steps) for each new match, concluded from each path of
-        a depth-first walk whose levels are the partial matches of the scanned premise positions."""
-        rule, leftover, scans, via, led = plan
-        prems = rule.premises
+        a depth-first walk whose levels are the partial matches of the premise positions."""
+        rule, leftover, forward, lead = plan
+        prems, concl = rule.premises, rule.conclusion
         last = len(prems) - 1
-        scanned = last if via is not None else last + 1
         # the compiled schemas, fetched once per firing
-        concl = rule.conclusion
         member, build = _member(concl), instance_lookup(concl, True)
-        last_instance = instance_lookup(prems[last]) if via is not None else None
         matchers = [_matcher(pattern) for pattern in prems]
-        arg_instances = [instance_lookup(p.args[j]) if j is not None else None for p, j in zip(prems, scans)]
+        lookups = [instance_lookup(p.args[j] if kind == "argument" else p) for p, (kind, j) in zip(prems, forward)]
 
-        def conclude(sigma: dict[str, Formula], used: tuple[int, ...], fresh: bool) -> Iterator:
-            if not leftover and via is None:
-                instance = member(sigma, levels, top)
-                if instance is not None:
-                    yield instance, sigma, used
-                return
-            low, end = (0 if fresh else mark), len(steps)
-            found = []
-            for filled in universe.extensions(concl, sigma, depth_bound):
-                if leftover:
-                    u = build(filled)
-                    found.append(((depth(u), text(u)), u, filled, used))
-                    continue
-                k = index.get(last_instance(filled))  # type: ignore[misc]
-                if k is not None and low <= k < end:
-                    found.append((k, None, filled, used + (k,)))
-            found.sort(key=itemgetter(0))
-            for _, u, filled, steps_used in found:
-                yield u or build(filled), filled, steps_used
+        def partners(kind: str, sigma: dict[str, Formula], lookup: Callable) -> list[int]:
+            # the steps a lookup or conclusion source names under sigma, in step order
+            fills = universe.extensions(concl, sigma, depth_bound) if kind == "conclusion" else (sigma,)
+            return sorted(k for filled in fills if (k := index.get(lookup(filled))) is not None)
 
         def candidates(i: int, sigma: dict[str, Formula], used: tuple[int, ...], fresh: bool) -> Iterator:
-            pattern = prems[i]
-            pos = scans[i]
-            if isinstance(pattern, Var):
-                entries = range(len(formulas))
-            elif pos is None:
-                entries = by_head.get(pattern.head, ())
+            kind, pos = forward[i]
+            if kind == "argument":
+                entries = by_arg.get((prems[i].head, pos, lookups[i](sigma)), ())
+            elif kind == "head":
+                entries = by_head.get(getattr(prems[i], "head", None), ())
             else:
-                entries = by_arg.get((pattern.head, pos, arg_instances[i](sigma)), ())  # type: ignore[arg-type,misc]
+                entries = partners(kind, sigma, lookups[i])
             end = len(entries)
-            start = 0 if fresh or i < last else bisect_left(entries, mark, 0, end)
             match = matchers[i]
-            for j in range(start, end):
+            for j in range(bisect_left(entries, 0 if fresh or i < last else mark, 0, end), end):
                 k = entries[j]
                 nxt = match(formulas[k], sigma)
                 if nxt is not None:
                     yield nxt, used + (k,), fresh or k >= mark
 
-        def led_by_second() -> Iterator:
-            name, second = prems[0].name, prems[1]
-            match = matchers[1]
-            entries = by_head.setdefault(second.head, [])
-            seen = bisect_left(entries, mark)
-            todo = list(range(mark, len(steps)))  # a heap of the first-premise steps to visit
+        def first_premises() -> Iterator:
+            # Below the mark, a first-premise step starts a new match only
+            # with a second-premise step from the mark on, which names it
+            # through the lead source.  A lead through the conclusion
+            # enumerates universe members, so it is declined unless fewer
+            # second-premise steps are new than first-premise steps are old.
+            firsts, seconds = (by_head.setdefault(getattr(p, "head", None), []) for p in prems)
+            old, seen = bisect_left(firsts, mark), bisect_left(seconds, mark)
+            if lead == "conclusion" and len(seconds) - seen >= old:
+                yield from candidates(0, *empty)
+                return
+            lookup = instance_lookup(prems[0])
+            todo = firsts[old:]  # a heap of the first-premise steps to visit
             k = -1
             while True:
-                for n in entries[seen:]:
-                    sigma = match(formulas[n], {})
-                    j = None if sigma is None else index.get(sigma[name])
-                    if j is not None and k < j < mark:
-                        heapq.heappush(todo, j)
-                seen = len(entries)
+                for n in seconds[seen:]:
+                    sigma = matchers[1](formulas[n], {})
+                    for j in partners(lead, sigma, lookup) if sigma is not None else ():
+                        if k < j < mark:
+                            heapq.heappush(todo, j)
+                seen = len(seconds)
                 if not todo:
                     return
                 j = heapq.heappop(todo)
                 if j > k:
                     k = j
-                    yield {name: formulas[k]}, (k,), k >= mark
+                    sigma = matchers[0](formulas[k], {})
+                    if sigma is not None:
+                        yield sigma, (k,), k >= mark
 
         empty = ({}, (), False)  # the match before the first premise position
 
         def children(i: int, path: list) -> Iterator:
-            return led_by_second() if i == 0 and led else candidates(i, *(path[i - 1] if i else empty))
+            return first_premises() if i == 0 and lead else candidates(i, *(path[i - 1] if i else empty))
 
-        for path in depth_first(scanned, children):
-            yield from conclude(*(path[-1] if path else empty))
+        for path in depth_first(len(prems), children):
+            sigma, used, _ = path[-1] if path else empty
+            if not leftover:
+                instance = member(sigma, levels, top)
+                if instance is not None:
+                    yield instance, sigma, used
+                continue
+            # free conclusion variables take the member instances in (depth, text) order
+            built = {build(filled): filled for filled in universe.extensions(concl, sigma, depth_bound)}
+            for u in sorted(built, key=lambda u: (depth(u), text(u))):
+                yield u, built[u], used
 
     marks: list[Optional[int]] = [None] * len(plans)
     while True:

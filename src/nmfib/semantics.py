@@ -626,6 +626,8 @@ def load_system(data: Mapping, allow_degenerate: bool = False) -> Nmatrix:
         cells = {}
         for row in bundled.expect(rows, list, f"the interpretation of {conn!r}"):
             args, out = bundled.fields(row, f"an interpretation row of {conn!r}", "args", "out")
+            if tuple(args) in cells:
+                raise ValueError(f"the interpretation of {conn!r} lists the args {args} twice")
             cells[tuple(args)] = tuple(out)
         interp[conn] = cells
     return Nmatrix(

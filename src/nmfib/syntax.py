@@ -447,6 +447,9 @@ class Translation:
 
     @staticmethod
     def of(source: Signature, target: Signature, mapping: Mapping[str, Formula]) -> "Translation":
+        for name in mapping:
+            if name not in source:
+                raise SignatureError(f"translation of {name!r}, a connective the source does not declare")
         entries = []
         for name, k in source.connectives:
             if name not in mapping:

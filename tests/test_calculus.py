@@ -11,7 +11,7 @@ from nmfib.calculus import (
     Premise,
     RuleApp,
     Step,
-    _join_plan,
+    _sources,
     audit,
     builtin_calculus,
     derive,
@@ -208,28 +208,28 @@ def test_fresh_variable_conclusion():
     assert res and verify(res.derivation, c, [parse("bot", sig)], parse("or(x,y)", sig))
 
 
-# (leftover, premise scans, conclusion argument, led) of every bundled rule
-# with two premises, from calculus._join_plan: leftover says the conclusion
-# has a variable no premise binds, a premise scan names the argument the
-# premise's steps are read by, the conclusion argument says that the last
-# premise is found through the universe, and led that the first premise's
-# steps are led by the second's; (None, None), None, False would mean a scan
-# of every step with the premise's head against every earlier match
+# (leftover, forward sources, lead) of every bundled rule with two premises,
+# from calculus._sources: leftover says the conclusion has a variable no
+# premise binds; a forward source says where a premise's steps are found
+# once the premises before it are bound, and the lead the kind of source
+# that finds the first premise's steps once the second is bound.
+# ("head", None) is a scan of every step with the premise's head, or of
+# every step for a variable
 TWO_PREMISE_PLANS = {
-    ("B_and", "c3"): (False, (None, None), 0, False),
-    ("B_and2", "c3"): (False, (None, None), 0, False),
-    ("and_or", "ao1"): (False, (None, None), 0, False),
-    ("B_imp", "i4"): (False, (None, 0), None, True),
-    ("B_iff", "e2"): (False, (None, 0), None, True),
-    ("B_neg", "n3"): (True, (None, 0), None, True),
-    ("B_sim", "n3"): (True, (None, 0), None, True),
-    ("or_neg", "on4"): (False, (None, 0), None, False),
+    ("B_and", "c3"): (False, (("head", None), ("conclusion", 0)), "conclusion"),
+    ("B_and2", "c3"): (False, (("head", None), ("conclusion", 0)), "conclusion"),
+    ("and_or", "ao1"): (False, (("head", None), ("conclusion", 0)), "conclusion"),
+    ("B_imp", "i4"): (False, (("head", None), ("argument", 0)), "lookup"),
+    ("B_iff", "e2"): (False, (("head", None), ("argument", 0)), "lookup"),
+    ("B_neg", "n3"): (True, (("head", None), ("lookup", None)), "lookup"),
+    ("B_sim", "n3"): (True, (("head", None), ("lookup", None)), "lookup"),
+    ("or_neg", "on4"): (False, (("head", None), ("lookup", None)), "lookup"),
 }
 
 
 def test_two_premise_rules_join_through_an_index():
     plans = {
-        (cid, r.name): _join_plan(r)
+        (cid, r.name): _sources(r)
         for cid in BUILTIN_IDS
         for r in builtin_calculus(cid).rules
         if len(r.premises) >= 2
@@ -294,22 +294,25 @@ def test_derive_along_a_modus_ponens_chain():
 
 def test_derive_from_a_deep_conjunction_at_depth_0():
     # W11: and(...and(and(p,q),q)...,q) |- p under B_and at universe depth
-    # 0.  c3 (p, q / and(p,q)) finds its last premise through the
-    # conclusion; the base members with the bound first argument are read
-    # from an index, not found by matching every base member per match
+    # 0, with d nested ands.  c3 (p, q / and(p,q)) finds its last premise
+    # through the conclusion, and below the mark only the first premises
+    # that new second premises name through the conclusion; the base
+    # members with a bound argument are read from an index.  A scan of
+    # every step per firing is quadratic (2.7 s at d = 1200)
     c = builtin_calculus("B_and")
     p, q = var("p"), var("q")
-    phi = app("and", (p, q))
-    for _ in range(299):
-        phi = app("and", (phi, q))
-    best = float("inf")
-    for _ in range(3):
-        start = time.perf_counter()
-        res = derive(c, [phi], p, universe_depth=0)
-        best = min(best, time.perf_counter() - start)
-    assert best < 0.5
-    assert isinstance(res, Derived) and len(res.derivation.steps) == 301
-    assert verify(res.derivation, c, [phi], p)
+    for d, bound in ((300, 0.5), (1200, 0.2)):
+        phi = app("and", (p, q))
+        for _ in range(d - 1):
+            phi = app("and", (phi, q))
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            res = derive(c, [phi], p, universe_depth=0)
+            best = min(best, time.perf_counter() - start)
+        assert best < bound, d
+        assert isinstance(res, Derived) and len(res.derivation.steps) == d + 1
+        assert verify(res.derivation, c, [phi], p)
 
 
 # d1 (p / or(p,q)) and n3 (p, neg(p) / q) take their free conclusion

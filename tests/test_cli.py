@@ -632,6 +632,46 @@ NEG_SIGNATURE = [{"name": "neg", "arity": 1}]
             },
             "the 'saturated' of bad.json is not a boolean: 'false'",
         ),
+        (
+            # a derivation step names its rule, so a repeated name could not be checked
+            "calculus",
+            {
+                "signature": NEG_SIGNATURE,
+                "rules": [
+                    {"name": "r", "premises": ["neg(neg(p))"], "conclusion": "p"},
+                    {"name": "r", "premises": ["p"], "conclusion": "neg(neg(p))"},
+                ],
+            },
+            "two rules are named 'r'",
+        ),
+        (
+            # an unnamed rule is named r<its index>
+            "calculus",
+            {"signature": NEG_SIGNATURE, "rules": [{"name": "r1", "conclusion": "p"}, {"conclusion": "neg(p)"}]},
+            "two rules are named 'r1'",
+        ),
+        (
+            "fragment",
+            {"connectives": [{"name": "f", "arity": 2, "table": "0111"}, {"name": "f", "arity": 2, "table": "0001"}]},
+            "connective 'f' is declared twice",
+        ),
+        (
+            "system",
+            {
+                "signature": NEG_SIGNATURE,
+                "values": ["0", "1"],
+                "designated": ["1"],
+                "interpretation": {
+                    "neg": [{"args": ["0"], "out": ["1"]}, {"args": ["1"], "out": ["0"]}, {"args": ["0"], "out": ["0"]}],
+                },
+            },
+            "the interpretation of 'neg' lists the args ['0'] twice",
+        ),
+        (
+            "translation",
+            {"source": [{"name": "coimp", "arity": 2}], "mapping": {"coimp": "neg(imp(p2,p1))", "vel": "imp(p1,p2)"}},
+            "translation of 'vel', a connective the source does not declare",
+        ),
     ],
 )
 def test_malformed_entry_is_named(tmp_path, monkeypatch, capsys, kind, data, message):

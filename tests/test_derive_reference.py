@@ -330,12 +330,25 @@ def test_derive_agrees_with_reference_outcomes_cover_both_verdicts():
 
 
 def test_derive_agrees_with_reference_under_step_caps():
-    calc = CALCULI["or+and+and_or"]
-    sig = calc.signature
-    prems = [parse("or(p,and(q,r))", sig)]
-    goal = parse("and(or(p,q),or(p,r))", sig)
-    for cap in (1, 3, 10, 40, 200):
-        _assert_same(calc, prems, goal, depth=1, step_cap=cap)
+    # c3 (p, q / and(p,q)) and ao1 (or(p,q), or(p,r) / or(p,and(q,r))) take
+    # their first premise from the steps that new second premises name
+    # through the conclusion when fewer second-premise steps are new than
+    # first-premise steps are old, and scan it otherwise.  Under caps 1-15,
+    # c3 leads in some firings of the first B_and case and declines in
+    # others, and ao1 leads in the or(r,p) case; in the last two cases
+    # the old steps a lead names make new conclusions, c3's from cap 29 and
+    # ao1's from cap 39
+    for cid, premises, goal, caps in [
+        ("or+and+and_or", ["or(p,and(q,r))"], "and(or(p,q),or(p,r))", (1, 3, 10, 40, 200)),
+        ("B_and", ["q", "p"], "and(and(p,q),r)", range(1, 16)),
+        ("or+and+and_or", ["or(r,p)"], "r", range(1, 16)),
+        ("B_and", ["and(and(p,p),and(p,r))"], "and(and(p,p),and(r,r))", range(1, 41)),
+        ("or+and+and_or", ["or(and(p,and(p,p)),p)"], "or(and(q,p),p)", range(1, 41)),
+    ]:
+        calc = CALCULI[cid]
+        sig = calc.signature
+        for cap in caps:
+            _assert_same(calc, [parse(t, sig) for t in premises], parse(goal, sig), depth=1, step_cap=cap)
 
 
 def test_derive_takes_the_last_premise_in_step_order():
@@ -354,12 +367,19 @@ def test_derive_takes_second_premises_recorded_during_a_firing():
     # i4 (p, imp(p,q) / q) visits, below its mark, only the steps a new
     # imp(p,q) step binds p to; imp(a2,z), recorded by i4 from a1 in the
     # same firing, points at a2, which the scan over every step reaches
-    # after a1, so z is recorded before g and the step cap lets it in
-    calc = CALCULI["B_imp"]
-    sig = calc.signature
-    prems = [parse(t, sig) for t in ("u", "a1", "a2", "a3", "imp(u,v)", "imp(v,imp(a1,imp(a2,z)))", "imp(v,imp(a3,g))")]
-    for cap in range(8, 14):
-        _assert_same(calc, prems, parse("z", sig), depth=0, step_cap=cap)
+    # after a1, so z is recorded before g and the step cap lets it in.
+    # c3 (p, q / and(p,q)) leads its second firing through the conclusion
+    # (b and w are new, five steps old): b names a, a records and(a,b),
+    # and that new second premise names x, which the scan reaches after a,
+    # so and(x,and(a,b)) is recorded before and(b,a)
+    for cid, premises, goal, caps in [
+        ("B_imp", ("u", "a1", "a2", "a3", "imp(u,v)", "imp(v,imp(a1,imp(a2,z)))", "imp(v,imp(a3,g))"), "z", range(8, 14)),
+        ("B_and", ("a", "x", "and(z,and(b,w))"), "and(and(x,and(a,b)),and(b,a))", range(1, 16)),
+    ]:
+        calc = CALCULI[cid]
+        sig = calc.signature
+        for cap in caps:
+            _assert_same(calc, [parse(t, sig) for t in premises], parse(goal, sig), depth=0, step_cap=cap)
 
 
 @pytest.mark.parametrize(
