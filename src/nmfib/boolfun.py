@@ -21,11 +21,11 @@ the formula of a table the lattice has already placed in the clone.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from . import bundled
 from .syntax import (
@@ -71,14 +71,13 @@ def _rows(arity: int) -> int:
     return 1 << arity
 
 
-@dataclass(frozen=True)
-class BooleanFunction:
-    arity: int
-    bits: int
+class BooleanFunction(collections.namedtuple("BooleanFunction", "arity bits")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.bits < (1 << _rows(self.arity)):
-            raise ValueError(f"table out of range for arity {self.arity}")
+    def __new__(cls, arity: int, bits: int) -> "BooleanFunction":
+        if not 0 <= bits < (1 << _rows(arity)):
+            raise ValueError(f"table out of range for arity {arity}")
+        return super().__new__(cls, arity, bits)
 
     @staticmethod
     def from_string(s: str, arity: int) -> "BooleanFunction":
@@ -140,8 +139,7 @@ def _constant(arity: int, value: int) -> BooleanFunction:
 # Taxonomy
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     top_like: bool
     bottom_like: bool
     projective_indices: tuple[int, ...]
@@ -272,8 +270,7 @@ def separation_degree(f: BooleanFunction) -> float:
     return _degree(f.arity, f.bits)
 
 
-@dataclass(frozen=True)
-class PostPredicates:
+class PostPredicates(NamedTuple):
     preserves0: bool
     preserves1: bool
     monotone: bool
@@ -290,8 +287,7 @@ def post_predicates(f: BooleanFunction) -> PostPredicates:
 # Fragments of classical logic
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FragmentSpec:
+class FragmentSpec(NamedTuple):
     """A signature together with a Boolean function for each connective."""
 
     functions: tuple[tuple[str, BooleanFunction], ...]
@@ -543,7 +539,7 @@ def _derivation_fragment() -> FragmentSpec:
     return FragmentSpec.of(out)
 
 
-# the standard tables are computed once; a BooleanFunction is frozen, so
+# the standard tables are computed once; a BooleanFunction is an immutable tuple, so
 # callers may share them
 @functools.cache
 def threshold_function(k: int, n: int) -> BooleanFunction:
@@ -594,7 +590,10 @@ def load_fragment(data: Mapping) -> FragmentSpec:
         name, arity, table = bundled.fields(c, "connective", "name", "arity", "table")
         if name in out:
             raise ValueError(f"connective {name!r} is declared twice")
-        out[name] = BooleanFunction.from_string(table, int(arity))
+        try:
+            out[name] = BooleanFunction.from_string(table, int(arity))
+        except ValueError as exc:
+            raise ValueError(f"connective {name!r}: {exc}") from exc
     if not out:
         raise ValueError("fragment file declares no connectives")
     return FragmentSpec.of(out)

@@ -14,8 +14,7 @@ import functools
 import heapq
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from . import bundled
 from .syntax import (
@@ -59,8 +58,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     name: str
     premises: tuple[Formula, ...]
     conclusion: Formula
@@ -74,8 +72,7 @@ class Rule:
         return f"{self.name}: {prem} / {text(self.conclusion)}" if prem else f"{self.name}: |- {text(self.conclusion)}"
 
 
-@dataclass(frozen=True)
-class HilbertCalculus:
+class HilbertCalculus(NamedTuple):
     signature: Signature
     rules: tuple[Rule, ...]
 
@@ -150,13 +147,12 @@ def merge(c1: HilbertCalculus, c2: HilbertCalculus) -> HilbertCalculus:
 # Derivations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Premise:
-    pass
+class Premise(NamedTuple):
+    def __bool__(self) -> bool:  # a tuple with no fields would be false
+        return True
 
 
-@dataclass(frozen=True)
-class RuleApp:
+class RuleApp(NamedTuple):
     rule: str
     substitution: tuple[tuple[str, Formula], ...]
     premise_steps: tuple[int, ...]
@@ -165,14 +161,12 @@ class RuleApp:
 Justification = Union[Premise, RuleApp]
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     formula: Formula
     justification: Justification
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(NamedTuple):
     steps: tuple[Step, ...]
 
     def lines(self) -> list[str]:
@@ -187,16 +181,14 @@ class Derivation:
         return out
 
 
-@dataclass(frozen=True)
-class Derived:
+class Derived(NamedTuple):
     derivation: Derivation
 
     def __bool__(self) -> bool:
         return True
 
 
-@dataclass(frozen=True)
-class NotFoundAtBound:
+class NotFoundAtBound(NamedTuple):
     reason: str  # "step cap exhausted" or "universe saturated"
     universe_depth: int
     step_cap: int
@@ -704,12 +696,10 @@ def load_calculus(data: Mapping) -> HilbertCalculus:
     for r in data["rules"]:
         (conclusion,) = bundled.fields(r, "rule", "conclusion")
         premises = bundled.fields(r, "rule", "premises")[0] if "premises" in r else []
-        rules.append(
-            Rule.of(
-                r.get("name", f"r{len(rules)}"),
-                [parse(p, sig) for p in premises],
-                parse(conclusion, sig),
-            )
-        )
+        name = r.get("name", f"r{len(rules)}")
+        try:
+            rules.append(Rule.of(name, [parse(p, sig) for p in premises], parse(conclusion, sig)))
+        except ValueError as exc:
+            raise ValueError(f"rule {name!r}: {exc}") from exc
     return HilbertCalculus.of(sig, rules)
 

@@ -10,7 +10,6 @@ NoneFound), 1 for errors.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
@@ -39,7 +38,12 @@ def _load_calculus(name: str) -> calculus.HilbertCalculus:
 def _load_translation(name: str, target: syntax.Signature) -> syntax.Translation:
     data = bundled.read(name, "translation")
     source = syntax.Signature.of(bundled.signature_pairs(data["source"], "source entry"))
-    mapping = {n: syntax.parse(body, target) for n, body in data["mapping"].items()}
+    mapping = {}
+    for n, body in data["mapping"].items():
+        try:
+            mapping[n] = syntax.parse(body, target)
+        except ValueError as exc:
+            raise ValueError(f"the 'mapping' entry {n!r} of {name}: {exc}") from exc
     return syntax.Translation.of(source, target, mapping)
 
 
@@ -108,9 +112,9 @@ def cmd_classify(args) -> int:
         parts.append("very significant")
     if cls.truth_preserving:
         parts.append("truth-preserving")
-    payload = {"arity": args.arity, "table": args.table, **dataclasses.asdict(cls)}
+    payload = {"arity": args.arity, "table": args.table, **cls._asdict()}
     if post is not None:
-        payload["post"] = dataclasses.asdict(post)
+        payload["post"] = post._asdict()
     _emit(args, payload, ["; ".join(parts) if parts else "significant"])
     return 0
 

@@ -31,8 +31,7 @@ import functools
 import itertools
 import math
 import random
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from . import bundled
 from .boolfun import (
@@ -117,8 +116,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Sequent:
+class Sequent(NamedTuple):
     premises: tuple[Formula, ...]
     conclusion: Formula
 
@@ -175,8 +173,7 @@ def truth_preserving_bot_matrix(frag: FragmentSpec, bot_name: str = "bot") -> Nm
 # The recovery decision
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Classical:
+class Classical(NamedTuple):
     condition: str  # "a", "b", or "c"
     detail: str = ""
 
@@ -184,8 +181,7 @@ class Classical:
         return True
 
 
-@dataclass(frozen=True)
-class Subclassical:
+class Subclassical(NamedTuple):
     witness: Sequent
     power_used: int
     countermodel: PartialValuation
@@ -424,16 +420,14 @@ def auto_calculus(frag: FragmentSpec) -> HilbertCalculus:
     return calc
 
 
-@dataclass(frozen=True)
-class Yes:
+class Yes(NamedTuple):
     derivation: Derivation
 
     def __bool__(self) -> bool:
         return True
 
 
-@dataclass(frozen=True)
-class No:
+class No(NamedTuple):
     countermodel: PartialValuation
     power_used: int
     exactness: str = "exact"  # "heuristic" when interaction rules were filtered
@@ -442,8 +436,7 @@ class No:
         return False
 
 
-@dataclass(frozen=True)
-class Unknown:
+class Unknown(NamedTuple):
     power_used: int
     universe_depth: int
     step_cap: int
@@ -504,8 +497,7 @@ def certify_entailment(
 # Functional-completeness recovery (the clone pairing corollary)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FcOutcome:
+class FcOutcome(NamedTuple):
     outcome: str  # "Recovered" or "NotRecovered"
     clone: Optional[str] = None
     up1_side: Optional[int] = None
@@ -540,8 +532,7 @@ def decide_fc_recovery(f1: FragmentSpec, f2: FragmentSpec) -> FcOutcome:
 # Diagnostics: k-determinedness and the non-local-tabularity families
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ViolationFound:
+class ViolationFound(NamedTuple):
     gamma: tuple[Formula, ...]
     phi: Formula
     power_used: int
@@ -551,8 +542,7 @@ class ViolationFound:
         return True
 
 
-@dataclass(frozen=True)
-class NoneFound:
+class NoneFound(NamedTuple):
     reason: str
 
     def __bool__(self) -> bool:
@@ -703,15 +693,13 @@ def three_valued_negation_matrix(name: str = "neg") -> Nmatrix:
     return _bundled_system(f"m3_{name}")
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     example_id: str
     checks: tuple[Check, ...]
 

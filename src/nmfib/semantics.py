@@ -44,8 +44,7 @@ from __future__ import annotations
 import functools
 import itertools
 import weakref
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from . import bundled
 from .boolfun import classify
@@ -233,8 +232,7 @@ class Nmatrix:
         return f"<{label}: {len(self.values)} values, {len(self.signature.connectives)} connectives>"
 
 
-@dataclass(frozen=True)
-class PartialValuation:
+class PartialValuation(NamedTuple):
     """An assignment on a subformula-closed domain respecting every cell."""
 
     matrix: Nmatrix
@@ -400,14 +398,12 @@ def enumerate_partial_valuations(matrix: Nmatrix, gamma: Iterable[Formula]) -> I
         yield PartialValuation.of(matrix, assignment)
 
 
-@dataclass(frozen=True)
-class Holds:
+class Holds(NamedTuple):
     def __bool__(self) -> bool:
         return True
 
 
-@dataclass(frozen=True)
-class Fails:
+class Fails(NamedTuple):
     countermodel: PartialValuation
 
     def __bool__(self) -> bool:
@@ -530,8 +526,7 @@ def respects_rule(valuation: PartialValuation, rule, universe: Iterable[Formula]
     return True
 
 
-@dataclass(frozen=True)
-class FilteredVerdict:
+class FilteredVerdict(NamedTuple):
     verdict: Verdict
     exactness: str  # "exact" or "heuristic"
 
@@ -567,14 +562,12 @@ def filter_valuations_by_rules(
     return FilteredVerdict(Holds(), "exact" if exact else "heuristic")
 
 
-@dataclass(frozen=True)
-class NoCounterexampleFound:
+class NoCounterexampleFound(NamedTuple):
     def __bool__(self) -> bool:
         return False
 
 
-@dataclass(frozen=True)
-class SaturationCounterexample:
+class SaturationCounterexample(NamedTuple):
     gamma: tuple[Formula, ...]
     delta: tuple[Formula, ...]
 

@@ -6,10 +6,11 @@ grammar is deliberately minimal:
     formula := ident | ident '(' formula (',' formula)* ')'
 
 A bare identifier is a 0-place connective if the ambient signature declares
-one of that name, and a sentential variable otherwise.  Everything is
-immutable.  Formulas are hash-consed: var() and app() are the only
-constructors and return one shared object per formula, so formulas compare
-and hash by identity.
+one of that name, and a sentential variable otherwise.  Nothing changes
+after construction, except a formula's cached canonical key (_key), the
+one field canon_key sets later.  Formulas are hash-consed: var() and app()
+are the only constructors and return one shared object per formula, so
+formulas compare and hash by identity.
 
 No walk over a formula recurses.  postorder is the one walk that visits
 arguments before their parents: the canonical key, the subformula closure,
@@ -25,8 +26,7 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, field
-from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 __all__ = [
     "SignatureError",
@@ -73,15 +73,23 @@ class ParseError(ValueError):
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
-@dataclass(frozen=True)
 class Signature:
     """A ranked alphabet: finitely many named connectives, each with an arity."""
 
-    connectives: tuple[tuple[str, int], ...]
-    _arities: dict[str, int] = field(init=False, repr=False, compare=False)
+    __slots__ = ("connectives", "_arities")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_arities", dict(self.connectives))
+    def __init__(self, connectives: tuple[tuple[str, int], ...]) -> None:
+        self.connectives = connectives
+        self._arities = dict(connectives)  # a cache: no part of equality, hashing or repr
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is Signature and self.connectives == other.connectives
+
+    def __hash__(self) -> int:
+        return hash((self.connectives,))
+
+    def __repr__(self) -> str:
+        return f"Signature(connectives={self.connectives!r})"
 
     @staticmethod
     def of(items: Union[Mapping[str, int], Iterable[tuple[str, int]]]) -> "Signature":
@@ -118,21 +126,30 @@ class Signature:
         return not set(self.names()) & set(other.names())
 
 
-@dataclass(frozen=True, eq=False)
 class Var:
-    name: str
-    # canon_key, filled in on first use
-    _key: Optional[tuple] = field(default=None, init=False, repr=False)
+    __slots__ = ("name", "_key")
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self._key: Optional[tuple] = None  # canon_key, filled in on first use
+
+    def __repr__(self) -> str:
+        return f"Var(name={self.name!r})"
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True, eq=False)
 class App:
-    head: str
-    args: tuple["Formula", ...]
-    _key: Optional[tuple] = field(default=None, init=False, repr=False)
+    __slots__ = ("head", "args", "_key")
+
+    def __init__(self, head: str, args: tuple["Formula", ...]) -> None:
+        self.head = head
+        self.args = args
+        self._key: Optional[tuple] = None
+
+    def __repr__(self) -> str:
+        return f"App(head={self.head!r}, args={self.args!r})"
 
     def __str__(self) -> str:
         return text(self)
@@ -141,8 +158,8 @@ class App:
 Formula = Union[Var, App]
 
 # Interning pool: structurally equal formulas built through var()/app() are
-# the same object, so Var and App use identity for == and hash (eq=False)
-# and never walk the tree.  A Var or App constructed directly would be
+# the same object, so Var and App keep object's identity == and hash and
+# never walk the tree.  A Var or App constructed directly would be
 # unequal to its interned twin.
 _pool: dict[object, Formula] = {}
 
@@ -277,7 +294,7 @@ def canon_key(phi: Formula) -> tuple:
             label = f"{psi.head}({','.join(k[1] for k in keys)})" if keys else psi.head
             height = 1 + max(k[3] for k in keys) if keys else 0
             key = (1 + sum(k[0] for k in keys), label, True, height)
-        object.__setattr__(psi, "_key", key)
+        psi._key = key
     return key
 
 
@@ -436,8 +453,7 @@ def params(k: int) -> tuple[Var, ...]:
     return tuple(var(f"p{i}") for i in range(1, k + 1))
 
 
-@dataclass(frozen=True)
-class Translation:
+class Translation(NamedTuple):
     """Maps each k-place source connective to a derived connective of the
     target signature, written over the variables p1..pk."""
 

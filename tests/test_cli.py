@@ -594,7 +594,7 @@ NEG_SIGNATURE = [{"name": "neg", "arity": 1}]
             # checked without computing 2^arity, an integer of 12.5 GB
             "fragment",
             {"connectives": [{"name": "f", "arity": 100000000000, "table": "01"}]},
-            "table string '01' is not 2^100000000000 bits",
+            "connective 'f': table string '01' is not 2^100000000000 bits",
         ),
         (
             "system",
@@ -671,6 +671,28 @@ NEG_SIGNATURE = [{"name": "neg", "arity": 1}]
             "translation",
             {"source": [{"name": "coimp", "arity": 2}], "mapping": {"coimp": "neg(imp(p2,p1))", "vel": "imp(p1,p2)"}},
             "translation of 'vel', a connective the source does not declare",
+        ),
+        (
+            # a formula that does not parse names the entry it is in
+            "calculus",
+            {
+                "signature": NEG_SIGNATURE,
+                "rules": [
+                    {"name": "n1", "premises": ["p"], "conclusion": "neg(neg(p))"},
+                    {"name": "n2", "premises": ["neg(neg(p)"], "conclusion": "p"},
+                ],
+            },
+            "rule 'n2': expected ')' (at position 10)",
+        ),
+        (
+            "translation",
+            {"source": [{"name": "coimp", "arity": 2}], "mapping": {"coimp": "neg(imp(p2,p1)"}},
+            "the 'mapping' entry 'coimp' of bad.json: expected ')' (at position 14)",
+        ),
+        (
+            "fragment",
+            {"connectives": [{"name": "or", "arity": 2, "table": "0111"}, {"name": "f", "arity": 3, "table": "0111"}]},
+            "connective 'f': table string '0111' is not 2^3 bits",
         ),
     ],
 )
